@@ -46,6 +46,23 @@ class CellAssociation:
         return out
 
 
+def farthest_user(center: Sequence[float], cluster: Sequence[int],
+                  users: Sequence[Sequence[float]]) -> tuple[float, int]:
+    """Squared horizontal distance from center to the farthest user of a
+    non-empty cluster, and that user's index (the first one on ties)."""
+    cx, cy = float(center[0]), float(center[1])
+    s_max = -1.0
+    j_max = -1
+    for j in cluster:
+        dx = cx - float(users[j][0])
+        dy = cy - float(users[j][1])
+        s = dx * dx + dy * dy
+        if s > s_max:
+            s_max = s
+            j_max = j
+    return s_max, j_max
+
+
 def cluster_cost(assignment: CellAssociation,
                  uav_centers: Sequence[Sequence[float]],
                  users: Sequence[Sequence[float]],
@@ -56,17 +73,9 @@ def cluster_cost(assignment: CellAssociation,
     z2 = z_u * z_u
     total = 0.0
     for center, cluster in zip(uav_centers, assignment.clusters):
-        if not cluster:
-            continue
-        cx, cy = float(center[0]), float(center[1])
-        s_max = 0.0
-        for j in cluster:
-            dx = cx - users[j][0]
-            dy = cy - users[j][1]
-            s = dx * dx + dy * dy
-            if s > s_max:
-                s_max = s
-        total += (s_max + z2) ** (0.5 * exponent)
+        if cluster:
+            s_max, _ = farthest_user(center, cluster, users)
+            total += (s_max + z2) ** (0.5 * exponent)
     return total
 
 

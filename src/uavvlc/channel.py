@@ -78,28 +78,23 @@ class VlcParams:
     fov_tan: float = -1.0           # tan of the FOV semi-angle
 
     def __post_init__(self):
-        if self.detector_area <= 0.0:
-            raise ValueError("detector_area must be > 0")
-        if self.refractive_index <= 0.0:
-            raise ValueError("refractive_index must be > 0")
+        # every comparison is written so that NaN fails it
+        for name in ("detector_area", "refractive_index", "noise_std",
+                     "illum_factor", "uav_height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.tx_semi_angle < math.pi / 2.0:
             raise ValueError("tx_semi_angle must be in (0, pi/2) radians")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2.0:
             raise ValueError("fov_semi_angle must be in (0, pi/2] radians")
-        if self.noise_std <= 0.0:
-            raise ValueError("noise_std must be > 0")
-        if self.illum_factor <= 0.0:
-            raise ValueError("illum_factor must be > 0")
-        if self.uav_height <= 0.0:
-            raise ValueError("uav_height must be > 0")
-        if self.lambertian_m <= 0.0:
+        if not self.lambertian_m > 0.0:
             object.__setattr__(self, "lambertian_m",
                                lambertian_order(self.tx_semi_angle))
-        if self.fov_gain <= 0.0:
+        if not self.fov_gain > 0.0:
             sin_psi = math.sin(self.fov_semi_angle)
             object.__setattr__(self, "fov_gain",
                                self.refractive_index ** 2 / (sin_psi * sin_psi))
-        if self.fov_tan <= 0.0:
+        if not self.fov_tan > 0.0:
             tan_psi = (math.inf if self.fov_semi_angle >= math.pi / 2.0
                        else math.tan(self.fov_semi_angle))
             object.__setattr__(self, "fov_tan", tan_psi)
@@ -145,16 +140,17 @@ class Requirements:
     """Per-user service thresholds.
 
     rate_threshold is in bits per transmission; illum_threshold is the
-    floor on the received illuminance proxy xi * P * h.  Both are
-    non-negative and at least one must be positive.
+    floor on the received illuminance proxy xi * P * h.  Both are finite
+    and non-negative, and at least one must be positive.
     """
 
     rate_threshold: float
     illum_threshold: float
 
     def __post_init__(self):
-        if self.rate_threshold < 0.0 or self.illum_threshold < 0.0:
-            raise ValueError("thresholds must be >= 0")
+        if not (0.0 <= self.rate_threshold < math.inf
+                and 0.0 <= self.illum_threshold < math.inf):
+            raise ValueError("thresholds must be finite and >= 0")
         if self.rate_threshold == 0.0 and self.illum_threshold == 0.0:
             raise ValueError("at least one threshold must be > 0")
 

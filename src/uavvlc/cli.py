@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from .channel import Requirements, VlcParams
 from .optimizer import DeploymentSolution
@@ -92,9 +92,12 @@ def _parse_int(field_name: str, raw: str) -> int:
 
 def _parse_float(field_name: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{field_name}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{field_name}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_grid(raw: str) -> tuple[int, int]:
@@ -118,10 +121,7 @@ def _parse_sweep(raw: str) -> tuple[float, float, float]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"cth_sweep: expected FROM:TO:STEP, got {raw!r}")
-    lo, hi, step = (_parse_float("cth_sweep", p) for p in parts)
-    if step <= 0.0 or hi < lo:
-        raise ConfigError("cth_sweep: need STEP > 0 and TO >= FROM")
-    return lo, hi, step
+    return tuple(_parse_float("cth_sweep", p) for p in parts)
 
 
 def _parse_schemes(raw: str) -> list[str]:
@@ -135,37 +135,19 @@ def _parse_schemes(raw: str) -> list[str]:
     return names
 
 
-# Config-file key -> RunConfig field setter.  Flat key=value format.
-_KEY_PARSERS = {
-    "mode": lambda cfg, v: setattr(cfg, "mode", v),
-    "seed": lambda cfg, v: setattr(cfg, "seed", _parse_int("seed", v)),
-    "runs": lambda cfg, v: setattr(cfg, "runs", _parse_int("runs", v)),
-    "users": lambda cfg, v: setattr(cfg, "users", _parse_int("users", v)),
-    "area_size": lambda cfg, v: setattr(cfg, "area_size", _parse_float("area_size", v)),
-    "grid": lambda cfg, v: setattr(cfg, "grid", _parse_grid(v)),
-    "heights": lambda cfg, v: setattr(cfg, "heights", _parse_heights(v)),
-    "detector_area_m2": lambda cfg, v: setattr(cfg, "detector_area_m2",
-                                               _parse_float("detector_area_m2", v)),
-    "refractive_index": lambda cfg, v: setattr(cfg, "refractive_index",
-                                               _parse_float("refractive_index", v)),
-    "tx_semi_angle_deg": lambda cfg, v: setattr(cfg, "tx_semi_angle_deg",
-                                                _parse_float("tx_semi_angle_deg", v)),
-    "fov_semi_angle_deg": lambda cfg, v: setattr(cfg, "fov_semi_angle_deg",
-                                                 _parse_float("fov_semi_angle_deg", v)),
-    "noise_std_a": lambda cfg, v: setattr(cfg, "noise_std_a",
-                                          _parse_float("noise_std_a", v)),
-    "illum_factor": lambda cfg, v: setattr(cfg, "illum_factor",
-                                           _parse_float("illum_factor", v)),
-    "rate_threshold_bits": lambda cfg, v: setattr(cfg, "rate_threshold_bits",
-                                                  _parse_float("rate_threshold_bits", v)),
-    "illum_threshold": lambda cfg, v: setattr(cfg, "illum_threshold",
-                                              _parse_float("illum_threshold", v)),
-    "cth_sweep": lambda cfg, v: setattr(cfg, "cth_sweep", _parse_sweep(v)),
-    "schemes": lambda cfg, v: setattr(cfg, "schemes", _parse_schemes(v)),
-    "out": lambda cfg, v: setattr(cfg, "out", v),
-    "max_iters": lambda cfg, v: setattr(cfg, "max_iters", _parse_int("max_iters", v)),
-    "rel_tol": lambda cfg, v: setattr(cfg, "rel_tol", _parse_float("rel_tol", v)),
-}
+# RunConfig fields with their own syntax; every other field parses by its
+# declared type.  Config-file keys and flags both go through _parse_field.
+_FIELD_TYPES = get_type_hints(RunConfig)
+_SPECIAL_PARSERS = {"grid": _parse_grid, "heights": _parse_heights,
+                    "cth_sweep": _parse_sweep, "schemes": _parse_schemes}
+_TYPE_PARSERS = {int: _parse_int, float: _parse_float}
+
+
+def _parse_field(name: str, raw: str):
+    if name in _SPECIAL_PARSERS:
+        return _SPECIAL_PARSERS[name](raw)
+    parse = _TYPE_PARSERS.get(_FIELD_TYPES[name])
+    return parse(name, raw) if parse is not None else raw
 
 
 def apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -182,9 +164,9 @@ def apply_config_file(cfg: RunConfig, path: str) -> None:
             raise ConfigError(f"config {path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"config {path}:{lineno}: unknown key {key!r}")
-        _KEY_PARSERS[key](cfg, value)
+        setattr(cfg, key, _parse_field(key, value))
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -197,23 +179,26 @@ def validate_config(cfg: RunConfig) -> None:
                 ("noise_std_a", cfg.noise_std_a),
                 ("illum_factor", cfg.illum_factor),
                 ("max_iters", cfg.max_iters)]
+    positive += [("heights", h) for h in cfg.heights]
+    # each comparison is written so that NaN fails it
     for name, value in positive:
-        if value <= 0:
-            raise ConfigError(f"{name}: must be > 0, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name}: must be finite and > 0, got {value}")
     if not 0.0 < cfg.tx_semi_angle_deg < 90.0:
         raise ConfigError("tx_semi_angle_deg: must be in (0, 90)")
     if not 0.0 < cfg.fov_semi_angle_deg <= 90.0:
         raise ConfigError("fov_semi_angle_deg: must be in (0, 90]")
-    if cfg.rate_threshold_bits < 0.0 or cfg.illum_threshold < 0.0:
-        raise ConfigError("thresholds: must be >= 0")
+    if not (0.0 <= cfg.rate_threshold_bits < math.inf
+            and 0.0 <= cfg.illum_threshold < math.inf):
+        raise ConfigError("thresholds: must be finite and >= 0")
     if cfg.rate_threshold_bits == 0.0 and cfg.illum_threshold == 0.0:
         raise ConfigError("thresholds: at least one of rate_threshold_bits/"
                           "illum_threshold must be > 0")
-    if cfg.rel_tol < 0.0:
-        raise ConfigError("rel_tol: must be >= 0")
-    for h in cfg.heights:
-        if h <= 0.0:
-            raise ConfigError(f"heights: must be > 0, got {h}")
+    if not 0.0 <= cfg.rel_tol < math.inf:
+        raise ConfigError("rel_tol: must be finite and >= 0")
+    lo, hi, step = cfg.cth_sweep
+    if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):
+        raise ConfigError("cth_sweep: need finite FROM <= TO and STEP > 0")
 
 
 def workers_from_env() -> int:
@@ -420,11 +405,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Minimum-power LED UAV deployment: single runs, "
                     "Monte Carlo aggregates, threshold sweeps, per-user tables.")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--mode", choices=["single", "sweep", "montecarlo", "fig4"])
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--users", type=int)
-    parser.add_argument("--height", action="append", type=float,
+    parser.add_argument("--mode", help="single, montecarlo, sweep or fig4")
+    parser.add_argument("--seed")
+    parser.add_argument("--runs")
+    parser.add_argument("--users")
+    parser.add_argument("--height", dest="heights", action="append",
+                        metavar="HEIGHT",
                         help="UAV height in meters; repeat for several")
     parser.add_argument("--cth-sweep", metavar="FROM:TO:STEP",
                         help="rate-threshold sweep for sweep mode")
@@ -440,22 +426,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         apply_config_file(cfg, args.config)
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if args.users is not None:
-        cfg.users = args.users
-    if args.height:
-        cfg.heights = list(args.height)
-    if args.cth_sweep is not None:
-        cfg.cth_sweep = _parse_sweep(args.cth_sweep)
-    if args.schemes is not None:
-        cfg.schemes = _parse_schemes(args.schemes)
-    if args.out is not None:
-        cfg.out = args.out
+    for name in _FIELD_TYPES:
+        raw = getattr(args, name, None)
+        if raw is not None:
+            # repeated --height flags arrive as a list: the file's comma list
+            setattr(cfg, name, _parse_field(
+                name, ",".join(raw) if isinstance(raw, list) else raw))
     validate_config(cfg)
     return cfg
 

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .assignment import CellAssociation, greedy_min_size_clustering
+from .assignment import (CellAssociation, farthest_user,
+                         greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, constraint_coefficients, min_power_for_radius)
 from .geometry import Point2, Rect, smallest_enclosing_disk
@@ -87,6 +88,36 @@ def locate_uavs(association: CellAssociation,
     return positions
 
 
+def _cell_power(r: float, coeffs: ConstraintCoefficients,
+                params: VlcParams) -> float:
+    # Power for a cell whose farthest user is r away; inf outside the FOV.
+    try:
+        return min_power_for_radius(r, coeffs, params)
+    except InfeasibleError:
+        return math.inf
+
+
+def _price(positions: Sequence[Sequence[float]],
+           association: CellAssociation,
+           users: Sequence[Sequence[float]],
+           coeffs: ConstraintCoefficients,
+           params: VlcParams) -> tuple[list[float], Optional[tuple[int, int]]]:
+    # Per-UAV powers of a fixed deployment (inf for a cell whose farthest
+    # user is outside the FOV) and the first such (UAV, user), or None.
+    per: list[float] = []
+    violation = None
+    for i, cluster in enumerate(association.clusters):
+        if not cluster:
+            per.append(0.0)
+            continue
+        s_max, j_max = farthest_user(positions[i], cluster, users)
+        power = _cell_power(math.sqrt(s_max), coeffs, params)
+        if power == math.inf and violation is None:
+            violation = (i, j_max)
+        per.append(power)
+    return per, violation
+
+
 def evaluate_power(positions: Sequence[Sequence[float]],
                    association: CellAssociation,
                    users: Sequence[Sequence[float]],
@@ -98,57 +129,30 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     Raises InfeasibleError naming the UAV and user when someone sits
     outside their serving UAV's field of view.
     """
-    per: list[float] = []
-    for i, cluster in enumerate(association.clusters):
-        if not cluster:
-            per.append(0.0)
-            continue
-        px, py = float(positions[i][0]), float(positions[i][1])
-        s_max = -1.0
-        j_max = -1
-        for j in cluster:
-            dx = px - float(users[j][0])
-            dy = py - float(users[j][1])
-            s = dx * dx + dy * dy
-            if s > s_max:
-                s_max = s
-                j_max = j
-        try:
-            per.append(min_power_for_radius(math.sqrt(s_max), coeffs, params))
-        except InfeasibleError:
-            raise InfeasibleError(
-                f"user {j_max} is outside the field of view of UAV {i}",
-                uav_index=i, user_index=j_max) from None
+    per, violation = _price(positions, association, users, coeffs, params)
+    if violation is not None:
+        i, j = violation
+        raise InfeasibleError(
+            f"user {j} is outside the field of view of UAV {i}",
+            uav_index=i, user_index=j)
     return per, math.fsum(per)
 
 
-def _power_or_inf(positions, association, users, coeffs, params) -> list[float]:
-    # Per-UAV powers for reporting an infeasible state: inf where violated.
-    per = []
-    for i, cluster in enumerate(association.clusters):
-        if not cluster:
-            per.append(0.0)
-            continue
-        px, py = float(positions[i][0]), float(positions[i][1])
-        s_max = max((px - u[0]) ** 2 + (py - u[1]) ** 2
-                    for u in (users[j] for j in cluster))
-        try:
-            per.append(min_power_for_radius(math.sqrt(s_max), coeffs, params))
-        except InfeasibleError:
-            per.append(math.inf)
-    return per
-
-
-def _infeasible_solution(positions, association, users, coeffs, params,
-                         step: str) -> DeploymentSolution:
-    per = _power_or_inf(positions, association, users, coeffs, params)
+def _fixed_solution(positions: Sequence[Sequence[float]],
+                    association: CellAssociation,
+                    users: Sequence[Sequence[float]],
+                    coeffs: ConstraintCoefficients,
+                    params: VlcParams, step: str) -> DeploymentSolution:
+    # One priced deployment with a one-entry trace; infeasible ones total inf.
+    per, violation = _price(positions, association, users, coeffs, params)
+    total = math.fsum(per) if violation is None else math.inf
     return DeploymentSolution(
         uav_positions=[Point2(float(p[0]), float(p[1])) for p in positions],
         association=association,
         per_uav_power=per,
-        total_power=math.inf,
-        iterations=[IterationEntry(math.inf, step)],
-        feasible=False)
+        total_power=total,
+        iterations=[IterationEntry(total, step)],
+        feasible=violation is None)
 
 
 def optimize(users: Sequence[Sequence[float]],
@@ -184,24 +188,15 @@ def optimize(users: Sequence[Sequence[float]],
              else nearest_position_association(users, positions))
     assoc.labels(len(users))    # validate the partition up front
 
-    trace: list[IterationEntry] = []
-    try:
-        _, total = evaluate_power(positions, assoc, users, coeffs, params)
-        trace.append(IterationEntry(total, "init"))
-    except InfeasibleError:
-        pass    # fixed initial placement may violate FOV; relocation may fix it
-
+    start = _fixed_solution(positions, assoc, users, coeffs, params, "init")
     positions = locate_uavs(assoc, users, positions, rng_seed)
-    try:
-        per, total = evaluate_power(positions, assoc, users, coeffs, params)
-    except InfeasibleError:
-        return _infeasible_solution(positions, assoc, users, coeffs, params,
-                                    "locate")
-    trace.append(IterationEntry(total, "locate"))
+    best = _fixed_solution(positions, assoc, users, coeffs, params, "locate")
+    if not best.feasible:
+        return best
+    if start.feasible:    # fixed initial placement may violate the FOV
+        best.iterations.insert(0, start.iterations[0])
 
-    best_positions, best_assoc = list(positions), assoc
-    best_per, best_total = per, total
-    prev_best = total
+    prev_best = best.total_power
     for _ in range(max_iters):
         cand_assoc = greedy_min_size_clustering(
             positions, users, coeffs.exponent, params.uav_height,
@@ -211,20 +206,14 @@ def optimize(users: Sequence[Sequence[float]],
         positions = locate_uavs(cand_assoc, users, positions, rng_seed)
         assoc = cand_assoc
         per, total = evaluate_power(positions, assoc, users, coeffs, params)
-        if total < best_total:
-            best_positions, best_assoc = list(positions), assoc
-            best_per, best_total = per, total
-            trace.append(IterationEntry(total, "round"))
+        if total < best.total_power:
+            best.uav_positions, best.association = list(positions), assoc
+            best.per_uav_power, best.total_power = per, total
+            best.iterations.append(IterationEntry(total, "round"))
             if prev_best - total <= rel_tol * prev_best:
                 break
             prev_best = total
-    return DeploymentSolution(
-        uav_positions=best_positions,
-        association=best_assoc,
-        per_uav_power=best_per,
-        total_power=best_total,
-        iterations=trace,
-        feasible=True)
+    return best
 
 
 def baseline_sa1(users: Sequence[Sequence[float]],
@@ -234,13 +223,8 @@ def baseline_sa1(users: Sequence[Sequence[float]],
     """Static deployment: UAVs at sub-area centers, pay for the actual farthest user."""
     positions = [r.center() for r in sub_areas]
     assoc = geographic_association(users, sub_areas)
-    coeffs = constraint_coefficients(params, reqs)
-    try:
-        per, total = evaluate_power(positions, assoc, users, coeffs, params)
-    except InfeasibleError:
-        return _infeasible_solution(positions, assoc, users, coeffs, params, "sa1")
-    return DeploymentSolution(positions, assoc, per, total,
-                              [IterationEntry(total, "sa1")], True)
+    return _fixed_solution(positions, assoc, users,
+                           constraint_coefficients(params, reqs), params, "sa1")
 
 
 def baseline_sa2(sub_areas: Sequence[Rect],
@@ -254,14 +238,8 @@ def baseline_sa2(sub_areas: Sequence[Rect],
     positions = [r.center() for r in sub_areas]
     assoc = CellAssociation([[] for _ in sub_areas])
     coeffs = constraint_coefficients(params, reqs)
-    per: list[float] = []
-    feasible = True
-    for rect in sub_areas:
-        try:
-            per.append(min_power_for_radius(rect.half_diagonal(), coeffs, params))
-        except InfeasibleError:
-            per.append(math.inf)
-            feasible = False
+    per = [_cell_power(rect.half_diagonal(), coeffs, params) for rect in sub_areas]
+    feasible = math.inf not in per
     total = math.fsum(per) if feasible else math.inf
     return DeploymentSolution(positions, assoc, per, total,
                               [IterationEntry(total, "sa2")], feasible)
@@ -276,11 +254,5 @@ def baseline_uavoo(users: Sequence[Sequence[float]],
     centers = [r.center() for r in sub_areas]
     assoc = geographic_association(users, sub_areas)
     positions = locate_uavs(assoc, users, centers, rng_seed)
-    coeffs = constraint_coefficients(params, reqs)
-    try:
-        per, total = evaluate_power(positions, assoc, users, coeffs, params)
-    except InfeasibleError:
-        return _infeasible_solution(positions, assoc, users, coeffs, params,
-                                    "uavoo")
-    return DeploymentSolution(positions, assoc, per, total,
-                              [IterationEntry(total, "uavoo")], True)
+    return _fixed_solution(positions, assoc, users,
+                           constraint_coefficients(params, reqs), params, "uavoo")

@@ -70,8 +70,8 @@ def generate_scenario(seed: int, area_size: float = 10.0,
                       params: Optional[VlcParams] = None,
                       reqs: Optional[Requirements] = None) -> Scenario:
     """Uniform users over a [0, area_size]^2 square with a grid of sub-areas."""
-    if area_size <= 0.0:
-        raise ValueError("area_size must be > 0")
+    if not 0.0 < area_size < math.inf:
+        raise ValueError("area_size must be finite and > 0")
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     area = Rect(0.0, 0.0, float(area_size), float(area_size))

@@ -79,6 +79,15 @@ class TestVlcParams:
         ("tx_semi_angle_deg", 90.0),
         ("tx_semi_angle_deg", 0.0),
         ("fov_semi_angle_deg", 91.0),
+        ("detector_area", math.nan),
+        ("refractive_index", math.inf),
+        ("noise_std", math.nan),
+        ("illum_factor", math.inf),
+        ("illum_factor", math.nan),
+        ("uav_height", math.nan),
+        ("uav_height", math.inf),
+        ("tx_semi_angle_deg", math.nan),
+        ("fov_semi_angle_deg", math.nan),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
@@ -89,6 +98,15 @@ class TestRequirements:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Requirements(-1.0, 0.1)
+
+    @pytest.mark.parametrize("rate,illum", [
+        (math.nan, 0.1), (2.0, math.nan), (math.inf, 0.1), (2.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, rate, illum):
+        # a NaN rate threshold used to drop out of max() and leave a
+        # "feasible" solution priced by illumination alone
+        with pytest.raises(ValueError, match="finite"):
+            Requirements(rate, illum)
 
     def test_rejects_both_zero(self):
         with pytest.raises(ValueError):

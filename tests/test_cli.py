@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -86,6 +87,15 @@ class TestValidateConfig:
         ("rate_threshold_bits", -0.5, "thresholds"),
         ("rel_tol", -1e-9, "rel_tol"),
         ("heights", [8.0, 0.0], "heights"),
+        ("area_size", math.nan, "area_size"),
+        ("illum_factor", math.inf, "illum_factor"),
+        ("rate_threshold_bits", math.nan, "thresholds"),
+        ("illum_threshold", math.inf, "thresholds"),
+        ("rel_tol", math.nan, "rel_tol"),
+        ("heights", [math.nan], "heights"),
+        ("cth_sweep", (1.0, math.nan, 0.5), "cth_sweep"),
+        ("cth_sweep", (1.0, 3.0, 0.0), "cth_sweep"),
+        ("cth_sweep", (3.0, 1.0, 0.5), "cth_sweep"),
     ])
     def test_rejects_and_names_field(self, field, value, needle):
         cfg = RunConfig()
@@ -102,6 +112,48 @@ class TestValidateConfig:
 
     def test_default_is_valid(self):
         validate_config(RunConfig())
+
+
+# Every numeric config key; keys with their own syntax embed the bad
+# number in an otherwise valid value.
+NUMERIC_KEYS = {
+    "seed": "{}", "runs": "{}", "users": "{}", "area_size": "{}",
+    "grid": "2x{}", "heights": "8,{}", "detector_area_m2": "{}",
+    "refractive_index": "{}", "tx_semi_angle_deg": "{}",
+    "fov_semi_angle_deg": "{}", "noise_std_a": "{}", "illum_factor": "{}",
+    "rate_threshold_bits": "{}", "illum_threshold": "{}",
+    "cth_sweep": "1.0:{}:0.5", "max_iters": "{}", "rel_tol": "{}",
+}
+# Flags that set a numeric key, and the key they set.
+NUMERIC_FLAGS = {"--seed": "seed", "--runs": "runs", "--users": "users",
+                 "--height": "heights", "--cth-sweep": "cth_sweep"}
+
+
+class TestBadNumbers:
+    """A bad number exits 1 with one error line that starts with its key."""
+
+    @staticmethod
+    def assert_config_error(code, capsys, key):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {key}: "), err
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+    def test_config_file(self, tmp_path, capsys, key, bad):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {NUMERIC_KEYS[key].format(bad)}\n")
+        code = run_cli("--config", path, "--out", tmp_path / "out")
+        self.assert_config_error(code, capsys, key)
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+    def test_flag(self, tmp_path, capsys, flag, bad):
+        key = NUMERIC_FLAGS[flag]
+        code = run_cli(flag, NUMERIC_KEYS[key].format(bad),
+                       "--out", tmp_path / "out")
+        self.assert_config_error(code, capsys, key)
 
 
 class TestSweepValues:

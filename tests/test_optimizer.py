@@ -23,6 +23,21 @@ SUB_AREAS = make_grid(AREA, 2, 2)
 CENTERS = [r.center() for r in SUB_AREAS]
 
 
+# A feasible cell on which two farthest-user scans that priced infeasible
+# reports and evaluate_power separately disagreed in the last digit.
+CELL_UAV = Point2(8.639991353790613, 4.716533072931069)
+CELL_USERS = [(4.840345123556942, 1.2864381571340666),
+              (4.086854640910154, 6.866001961682188),
+              (9.114220786493046, 6.049739199852111),
+              (2.0083527713862273, 5.9782151188566015)]
+CELL_POWER = 196442.61554508732
+# Sub-area 0 is centered exactly on CELL_UAV; sub-area 1 is centered on
+# (100, 100), far from every cell user.
+CELL_SUB_AREAS = [Rect(CELL_UAV.x - 0.5, CELL_UAV.y - 0.5,
+                       CELL_UAV.x + 0.5, CELL_UAV.y + 0.5),
+                  Rect(99.5, 99.5, 100.5, 100.5)]
+
+
 def random_users(seed, n=16):
     rng = random.Random(seed)
     return [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
@@ -122,6 +137,48 @@ class TestEvaluatePower:
             evaluate_power([(0.0, 0.0)], assoc, users, COEFFS, PARAMS)
         assert err.value.uav_index == 0
         assert err.value.user_index == 1
+
+
+class TestInfeasibleReports:
+    """An infeasible deployment prices its feasible cells as evaluate_power
+    does, its violating cell as inf and its total as inf."""
+
+    def assert_report(self, sol, users, step):
+        cell = CellAssociation([[0, 1, 2, 3]])
+        expected, _ = evaluate_power(sol.uav_positions[:1], cell, users,
+                                     COEFFS, PARAMS)
+        assert sol.per_uav_power == [expected[0], math.inf]
+        assert not sol.feasible
+        assert sol.total_power == math.inf
+        assert sol.iterations == [(math.inf, step)]
+
+    def test_evaluate_power_reference(self):
+        per, total = evaluate_power([CELL_UAV], CellAssociation([[0, 1, 2, 3]]),
+                                    CELL_USERS, COEFFS, PARAMS)
+        assert per == [CELL_POWER]
+        assert total == CELL_POWER
+
+    def test_sa1(self):
+        # the lone user of sub-area 1 sits 20 m out, beyond the 13.86 m FOV
+        users = CELL_USERS + [(120.0, 100.0)]
+        sol = baseline_sa1(users, CELL_SUB_AREAS, PARAMS, REQS)
+        assert sol.uav_positions[0] == CELL_UAV
+        assert sol.per_uav_power[0] == CELL_POWER
+        self.assert_report(sol, users, "sa1")
+
+    def test_uavoo(self):
+        # sub-area 1's users are 30 m apart, so even its SED center is 15 m
+        # from each of them
+        users = CELL_USERS + [(85.0, 100.0), (115.0, 100.0)]
+        sol = baseline_uavoo(users, CELL_SUB_AREAS, PARAMS, REQS)
+        self.assert_report(sol, users, "uavoo")
+
+    def test_optimize_locate_step(self):
+        users = CELL_USERS + [(85.0, 100.0), (115.0, 100.0)]
+        sol = optimize(users, [CELL_UAV, (100.0, 100.0)], PARAMS, REQS,
+                       initial_association=CellAssociation([[0, 1, 2, 3],
+                                                            [4, 5]]))
+        self.assert_report(sol, users, "locate")
 
 
 class TestOptimize:

@@ -64,6 +64,11 @@ class TestGenerateScenario:
         with pytest.raises(ValueError):
             generate_scenario(seed=0, area_size=0.0)
 
+    @pytest.mark.parametrize("area_size", [math.nan, math.inf])
+    def test_rejects_non_finite_area(self, area_size):
+        with pytest.raises(ValueError, match="area_size"):
+            generate_scenario(seed=0, area_size=area_size)
+
     def test_grid_and_uav_count(self):
         sc = generate_scenario(seed=0, grid=(4, 2))
         assert sc.num_uavs == 8
