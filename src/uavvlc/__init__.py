@@ -8,15 +8,12 @@ so the farthest user of each cell sets its transmit power.
 """
 
 from .assignment import (CellAssociation, cluster_cost,
-                         exhaustive_min_size_clustering,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, capacity_lower_bound, channel_gain,
-                      concentrator_gain, constraint_coefficients,
-                      lambertian_order, min_power_for_radius,
-                      min_power_illum, min_power_rate)
-from .geometry import (Disk, Point2, Rect, sed_bruteforce,
-                       smallest_enclosing_disk)
+                      constraint_coefficients, lambertian_order,
+                      min_power_for_radius)
+from .geometry import Disk, Point2, Rect, smallest_enclosing_disk
 from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa1,
                         baseline_sa2, baseline_uavoo, evaluate_power,
                         geographic_association, locate_uavs,
@@ -29,13 +26,11 @@ from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellAssociation", "cluster_cost", "exhaustive_min_size_clustering",
-    "greedy_min_size_clustering",
+    "CellAssociation", "cluster_cost", "greedy_min_size_clustering",
     "ConstraintCoefficients", "InfeasibleError", "Requirements", "VlcParams",
-    "capacity_lower_bound", "channel_gain", "concentrator_gain",
-    "constraint_coefficients", "lambertian_order", "min_power_for_radius",
-    "min_power_illum", "min_power_rate",
-    "Disk", "Point2", "Rect", "sed_bruteforce", "smallest_enclosing_disk",
+    "capacity_lower_bound", "channel_gain", "constraint_coefficients",
+    "lambertian_order", "min_power_for_radius",
+    "Disk", "Point2", "Rect", "smallest_enclosing_disk",
     "DeploymentSolution", "IterationEntry", "baseline_sa1", "baseline_sa2",
     "baseline_uavoo", "evaluate_power", "geographic_association",
     "locate_uavs", "nearest_position_association", "optimize",

@@ -8,13 +8,11 @@ minimization is combinatorial, so users are folded in greedily: all K
 disks start at zero radius, and each user joins the disk whose cost grows
 the least, which prices a cell's first user at the full d^(m+3) and makes
 parking many users under one UAV attractive when the per-cell floor
-z_u^(m+3) outweighs the extra radius.  ``exhaustive_min_size_clustering``
-enumerates all assignments and is for tests only.
+z_u^(m+3) outweighs the extra radius.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -145,31 +143,3 @@ def greedy_min_size_clustering(
             cluster.sort()
     return CellAssociation(clusters)
 
-
-def exhaustive_min_size_clustering(
-    uav_centers: Sequence[Sequence[float]],
-    users: Sequence[Sequence[float]],
-    exponent: float,
-    z_u: float,
-) -> tuple[CellAssociation, float]:
-    """Optimal association by trying every assignment.  Tests only.
-
-    K^U candidates; keep U and K tiny.
-    """
-    n_users = len(users)
-    n_uavs = len(uav_centers)
-    if n_uavs ** n_users > 2_000_000:
-        raise ValueError("instance too large for exhaustive enumeration")
-    best_assoc: Optional[CellAssociation] = None
-    best_cost = math.inf
-    for labels in itertools.product(range(n_uavs), repeat=n_users):
-        clusters: list[list[int]] = [[] for _ in range(n_uavs)]
-        for j, i in enumerate(labels):
-            clusters[i].append(j)
-        assoc = CellAssociation(clusters)
-        c = cluster_cost(assoc, uav_centers, users, exponent, z_u)
-        if c < best_cost:
-            best_cost = c
-            best_assoc = assoc
-    assert best_assoc is not None
-    return best_assoc, best_cost

@@ -16,9 +16,10 @@ The achievable rate is lower-bounded by
 
 bits per transmission, with xi the electro-optic conversion factor, P the
 transmit power and sigma_w the noise standard deviation.  Inverting C and
-the illuminance target eta = xi * P * h gives the per-link minimum powers;
-both scale as d^(m+3) once the geometry is folded in, which is what makes
-the farthest user of each cell the binding one.
+the illuminance target eta = xi * P * h gives the per-link minimum powers.
+Both scale as d^(m+3) once the geometry is folded in, which is what makes
+the farthest user of each cell the binding one; ``constraint_coefficients``
+and ``min_power_for_radius`` evaluate that power law directly.
 """
 
 from __future__ import annotations
@@ -155,13 +156,6 @@ class Requirements:
             raise ValueError("at least one threshold must be > 0")
 
 
-def concentrator_gain(psi: float, params: VlcParams) -> float:
-    """Optical concentrator gain: n_r^2 / sin^2(Psi_c) inside the FOV, else 0."""
-    if psi < 0.0:
-        raise ValueError("incidence angle must be >= 0")
-    return params.fov_gain if psi <= params.fov_semi_angle else 0.0
-
-
 def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:
     """DC channel gain between a UAV and a ground user.
 
@@ -190,22 +184,6 @@ def capacity_lower_bound(power: float, gain: float, params: VlcParams) -> float:
         raise ValueError("power and gain must be >= 0")
     snr_amp = params.illum_factor * power * gain / params.noise_std
     return 0.5 * math.log1p(math.e / _TWO_PI * snr_amp * snr_amp) / _LN2
-
-
-def min_power_rate(gain: float, reqs: Requirements, params: VlcParams) -> float:
-    """Smallest transmit power whose rate bound meets rate_threshold."""
-    if gain <= 0.0:
-        raise InfeasibleError("zero channel gain: user outside the field of view")
-    # 2^(2 C_th) - 1 via expm1 keeps small thresholds exact
-    arg = _TWO_PI / math.e * math.expm1(2.0 * reqs.rate_threshold * _LN2)
-    return params.noise_std * math.sqrt(arg) / (params.illum_factor * gain)
-
-
-def min_power_illum(gain: float, reqs: Requirements, params: VlcParams) -> float:
-    """Smallest transmit power with xi * P * h >= illum_threshold."""
-    if gain <= 0.0:
-        raise InfeasibleError("zero channel gain: user outside the field of view")
-    return reqs.illum_threshold / (params.illum_factor * gain)
 
 
 @dataclass(frozen=True)

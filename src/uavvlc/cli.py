@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from .channel import Requirements, VlcParams
+from .channel import (Requirements, VlcParams, constraint_coefficients,
+                      min_power_for_radius)
 from .optimizer import DeploymentSolution
 from .scenario import (SCHEMES, ScenarioConfig, generate_scenario,
                        per_user_report, run_monte_carlo, solve_scenario)
@@ -197,8 +198,40 @@ def validate_config(cfg: RunConfig) -> None:
     if not 0.0 <= cfg.rel_tol < math.inf:
         raise ConfigError("rel_tol: must be finite and >= 0")
     lo, hi, step = cfg.cth_sweep
-    if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):
-        raise ConfigError("cth_sweep: need finite FROM <= TO and STEP > 0")
+    if not (0.0 <= lo <= hi < math.inf and 0.0 < step < math.inf):
+        raise ConfigError("cth_sweep: need finite 0 <= FROM <= TO and STEP > 0")
+    _check_power_finite(cfg, "thresholds", cfg.rate_threshold_bits)
+    if cfg.mode == "sweep":
+        if lo == 0.0 and cfg.illum_threshold == 0.0:
+            raise ConfigError("cth_sweep: FROM must be > 0 when "
+                              "illum_threshold is 0")
+        _check_power_finite(cfg, "cth_sweep", hi)
+
+
+def _check_power_finite(cfg: RunConfig, name: str,
+                        rate_threshold: float) -> None:
+    """Reject thresholds whose power at the farthest reachable user overflows.
+
+    Users and UAV positions lie inside the area, so no priced cell reaches
+    beyond the area diagonal or the FOV ground radius; power grows with
+    both the distance and the rate threshold, so this is the largest power
+    any run can ask for.
+    """
+    reqs = Requirements(rate_threshold, cfg.illum_threshold)
+    for height in cfg.heights:
+        params = cfg.params_at(height)
+        radius = min(params.fov_ground_radius, cfg.area_size * math.sqrt(2.0))
+        try:
+            power = min_power_for_radius(
+                radius, constraint_coefficients(params, reqs), params)
+        except OverflowError:
+            power = math.inf
+        if not power < math.inf:
+            raise ConfigError(
+                f"{name}: rate threshold {rate_threshold!r} bits with "
+                f"illumination threshold {cfg.illum_threshold!r} needs a "
+                f"transmit power beyond floating-point range at height "
+                f"{height!r} m")
 
 
 def workers_from_env() -> int:

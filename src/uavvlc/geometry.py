@@ -1,10 +1,8 @@
 """Planar geometry primitives and the smallest enclosing disk.
 
 The minimum-radius disk covering a finite point set is unique and is
-determined by at most three of the points on its boundary.  The expected
-linear-time randomized incremental method is the production path;
-``sed_bruteforce`` enumerates every boundary-defined candidate disk in
-O(n^4) and exists only as a cross-check oracle for small inputs.
+determined by at most three of the points on its boundary, and is found
+here by the expected linear-time randomized incremental method.
 """
 
 from __future__ import annotations
@@ -190,36 +188,3 @@ def _sed_two_boundary(
         return left
     return left if left[2] <= right[2] else right
 
-
-def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
-    """Exact smallest enclosing disk by exhaustive candidate enumeration.
-
-    Tries every point-pair diameter disk and every point-triple
-    circumcircle, keeping the smallest that covers the whole set.  O(n^4),
-    capped at 12 points; test oracle only.
-    """
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    if not pts:
-        raise ValueError("sed_bruteforce requires at least one point")
-    if len(pts) > 12:
-        raise ValueError("sed_bruteforce is an O(n^4) oracle; use <= 12 points")
-    if len(pts) == 1:
-        return Disk(Point2(*pts[0]), 0.0)
-
-    best: Optional[tuple[float, float, float]] = None
-    candidates: list[tuple[float, float, float]] = []
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(_diameter_disk(pts[i], pts[j]))
-            for k in range(j + 1, n):
-                cand = _circumdisk(pts[i], pts[j], pts[k])
-                if cand is not None:
-                    candidates.append(cand)
-    for cand in candidates:
-        if best is not None and cand[2] >= best[2]:
-            continue
-        if all(_covers(*cand, p) for p in pts):
-            best = cand
-    assert best is not None
-    return Disk(Point2(best[0], best[1]), best[2])

@@ -16,8 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .channel import (Requirements, VlcParams, capacity_lower_bound,
                       channel_gain)
 from .geometry import Point2, Rect
@@ -178,6 +176,46 @@ def _run_one(args) -> dict[str, tuple[float, bool]]:
     return out
 
 
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """Sum of xs in pairwise order: halves split at a multiple of 8 down to
+    blocks of at most 128, each summed by 8 interleaved accumulators.
+
+    The montecarlo and sweep bytes pinned in bench/reference.json were
+    written with this float64 summation order, and the means and stds
+    change in their last digits under any other (statistics.fmean,
+    math.fsum, a left-to-right sum), so the order is kept exactly.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:    # not sum(): from Python 3.12 it compensates floats
+            total += x
+        return total
+    if n <= 128:
+        r = list(xs[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for k in range(8):
+                r[k] += xs[i + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[tail:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _mean_std(xs: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for one value) of non-empty xs."""
+    n = len(xs)
+    mean = _pairwise_sum(xs) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(_pairwise_sum([(x - mean) * (x - mean)
+                                          for x in xs]) / (n - 1))
+
+
 def run_monte_carlo(config: ScenarioConfig, num_runs: int,
                     schemes: Sequence[str] = SCHEMES,
                     workers: int = 1) -> MonteCarloSummary:
@@ -205,8 +243,7 @@ def run_monte_carlo(config: ScenarioConfig, num_runs: int,
         totals = [res[scheme][0] for res in results if res[scheme][1]]
         infeasible = num_runs - len(totals)
         if totals:
-            mean = float(np.mean(totals))
-            std = float(np.std(totals, ddof=1)) if len(totals) > 1 else 0.0
+            mean, std = _mean_std(totals)
         else:
             mean, std = math.inf, 0.0
         stats[scheme] = SchemeStats(scheme, totals, mean, std, infeasible)

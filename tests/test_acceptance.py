@@ -11,12 +11,13 @@ import random
 import sys
 import time
 
-from uavvlc.assignment import (cluster_cost, exhaustive_min_size_clustering,
-                               greedy_min_size_clustering)
+from oracles import (exhaustive_min_size_clustering, min_power_illum,
+                     min_power_rate, sed_bruteforce)
+from uavvlc.assignment import cluster_cost, greedy_min_size_clustering
 from uavvlc.channel import (Requirements, VlcParams, capacity_lower_bound,
                             channel_gain, constraint_coefficients,
-                            lambertian_order, min_power_illum, min_power_rate)
-from uavvlc.geometry import sed_bruteforce, smallest_enclosing_disk
+                            lambertian_order)
+from uavvlc.geometry import smallest_enclosing_disk
 from uavvlc.scenario import (ScenarioConfig, default_params,
                              default_requirements, generate_scenario,
                              per_user_report, run_monte_carlo, solve_scenario)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exhaustive_min_size_clustering
 from uavvlc.assignment import (CellAssociation, cluster_cost,
-                               exhaustive_min_size_clustering,
                                greedy_min_size_clustering)
 from uavvlc.channel import InfeasibleError
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import concentrator_gain, min_power_illum, min_power_rate
 from uavvlc.channel import (InfeasibleError, Requirements, VlcParams,
                             capacity_lower_bound, channel_gain,
-                            concentrator_gain, constraint_coefficients,
-                            lambertian_order, min_power_for_radius,
-                            min_power_illum, min_power_rate)
+                            constraint_coefficients, lambertian_order,
+                            min_power_for_radius)
 
 # Hand-checked reference values for the defaults: A = 1e-4 m^2, n_r = 1.5,
 # 60 degree semi-angles, z_u = 8 m, sigma_w = 1e-10, xi = 1.

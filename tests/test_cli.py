@@ -96,11 +96,27 @@ class TestValidateConfig:
         ("cth_sweep", (1.0, math.nan, 0.5), "cth_sweep"),
         ("cth_sweep", (1.0, 3.0, 0.0), "cth_sweep"),
         ("cth_sweep", (3.0, 1.0, 0.5), "cth_sweep"),
+        ("cth_sweep", (-1.0, 2.0, 1.0), "cth_sweep"),
+        # the power for the farthest reachable user overflows a float
+        ("rate_threshold_bits", 600.0, "thresholds"),
+        ("illum_threshold", 1e303, "thresholds"),
+        ("heights", [8.0, 1e100], "thresholds"),
     ])
     def test_rejects_and_names_field(self, field, value, needle):
         cfg = RunConfig()
         setattr(cfg, field, value)
         with pytest.raises(ConfigError, match=needle):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("sweep,illum", [
+        ((1.0, 600.0, 599.0), 0.1),   # power at TO overflows
+        ((0.0, 2.0, 1.0), 0.0),       # both thresholds 0 at FROM
+    ])
+    def test_sweep_rejected_in_sweep_mode_only(self, sweep, illum):
+        cfg = RunConfig(cth_sweep=sweep, illum_threshold=illum)
+        validate_config(cfg)
+        cfg.mode = "sweep"
+        with pytest.raises(ConfigError, match="cth_sweep"):
             validate_config(cfg)
 
     def test_both_thresholds_zero(self):
@@ -145,6 +161,17 @@ class TestBadNumbers:
         path = tmp_path / "bad.cfg"
         path.write_text(f"{key} = {NUMERIC_KEYS[key].format(bad)}\n")
         code = run_cli("--config", path, "--out", tmp_path / "out")
+        self.assert_config_error(code, capsys, key)
+
+    @pytest.mark.parametrize("args,text,key", [
+        ((), "rate_threshold_bits = 600", "thresholds"),
+        ((), "illum_threshold = 1e303", "thresholds"),
+        (("--mode", "sweep", "--cth-sweep", "1:600:599"), "", "cth_sweep"),
+    ])
+    def test_overflowing_threshold(self, tmp_path, capsys, args, text, key):
+        path = tmp_path / "big.cfg"
+        path.write_text(text + "\n")
+        code = run_cli("--config", path, *args, "--out", tmp_path / "out")
         self.assert_config_error(code, capsys, key)
 
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])

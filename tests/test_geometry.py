@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavvlc.geometry import (Disk, Point2, Rect, sed_bruteforce,
-                             smallest_enclosing_disk)
+from oracles import sed_bruteforce
+from uavvlc.geometry import Disk, Point2, Rect, smallest_enclosing_disk
 
 
 def dist(a, b):

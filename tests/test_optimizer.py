@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from oracles import min_power_illum, min_power_rate, sed_bruteforce
 from uavvlc.assignment import CellAssociation
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
-from uavvlc.geometry import Point2, Rect, sed_bruteforce
+from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import (baseline_sa1, baseline_sa2, baseline_uavoo,
                               evaluate_power, geographic_association,
                               locate_uavs, nearest_position_association,
@@ -115,7 +116,7 @@ class TestEvaluatePower:
         assert per1[1] == per0[1]
 
     def test_agrees_with_per_user_constraint_power(self):
-        from uavvlc.channel import channel_gain, min_power_illum, min_power_rate
+        from uavvlc.channel import channel_gain
         users = random_users(6)
         assoc = geographic_association(users, SUB_AREAS)
         positions = locate_uavs(assoc, users, CENTERS)

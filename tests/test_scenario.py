@@ -1,14 +1,21 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uavvlc
 from uavvlc.channel import Requirements, constraint_coefficients
 from uavvlc.geometry import Rect
-from uavvlc.scenario import (SCHEMES, ScenarioConfig, default_params,
-                             default_requirements, generate_scenario,
-                             make_grid, per_user_report, run_monte_carlo,
-                             solve_scenario)
+from uavvlc.scenario import (SCHEMES, ScenarioConfig, _mean_std,
+                             default_params, default_requirements,
+                             generate_scenario, make_grid, per_user_report,
+                             run_monte_carlo, solve_scenario)
 
 RATE_REQ = 2.0
 ILLUM_REQ = 0.1
@@ -189,6 +196,45 @@ class TestMonteCarlo:
             run_monte_carlo(ScenarioConfig(), num_runs=0)
         with pytest.raises(ValueError):
             run_monte_carlo(ScenarioConfig(), num_runs=1, schemes=("nope",))
+
+
+class TestMeanStd:
+    """The Monte Carlo statistics equal numpy's float64 mean and ddof=1 std
+    bit for bit: the stored benchmark outputs were written with them."""
+
+    @staticmethod
+    def assert_matches_numpy(xs):
+        mean, std = _mean_std(xs)
+        assert mean == float(np.mean(xs))
+        if len(xs) > 1:
+            assert std == float(np.std(xs, ddof=1))
+        else:
+            assert std == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e12),
+                    min_size=1, max_size=300))
+    def test_matches_numpy(self, xs):
+        self.assert_matches_numpy(xs)
+
+    # the edges of the 8-wide unrolled block, of the 128-item block and of
+    # the recursive split, and one length past numpy's 8192-item buffer
+    @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 136, 1000, 8193])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_matches_numpy_at_block_edges(self, n, seed):
+        rnd = random.Random(seed)
+        self.assert_matches_numpy(
+            [min(1e12, rnd.random() * 10.0 ** rnd.uniform(-3.0, 12.0))
+             for _ in range(n)])
+
+    def test_package_imports_without_numpy(self):
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "import uavvlc, uavvlc.cli")
+        src = str(Path(uavvlc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestDefaults:
