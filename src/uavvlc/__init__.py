@@ -7,8 +7,7 @@ illumination constraints reduce to the same (distance)^(m+3) power law,
 so the farthest user of each cell sets its transmit power.
 """
 
-from .assignment import (CellAssociation, cluster_cost,
-                         greedy_min_size_clustering)
+from .assignment import CellAssociation, greedy_min_size_clustering
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, capacity_lower_bound, channel_gain,
                       constraint_coefficients, lambertian_order,
@@ -26,7 +25,7 @@ from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellAssociation", "cluster_cost", "greedy_min_size_clustering",
+    "CellAssociation", "greedy_min_size_clustering",
     "ConstraintCoefficients", "InfeasibleError", "Requirements", "VlcParams",
     "capacity_lower_bound", "channel_gain", "constraint_coefficients",
     "lambertian_order", "min_power_for_radius",

@@ -14,9 +14,8 @@ z_u^(m+3) outweighs the extra radius.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .channel import InfeasibleError
 
@@ -26,10 +25,6 @@ class CellAssociation:
     """Partition of user indices into one (possibly empty) cluster per UAV."""
 
     clusters: list[list[int]]
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
 
     def labels(self, num_users: int) -> list[int]:
         """Serving UAV index per user; raises if the partition is broken."""
@@ -61,49 +56,29 @@ def farthest_user(center: Sequence[float], cluster: Sequence[int],
     return s_max, j_max
 
 
-def cluster_cost(assignment: CellAssociation,
-                 uav_centers: Sequence[Sequence[float]],
-                 users: Sequence[Sequence[float]],
-                 exponent: float, z_u: float) -> float:
-    """Sum over non-empty cells of (3D distance to farthest user)^exponent."""
-    if z_u <= 0.0:
-        raise ValueError("z_u must be > 0")
-    z2 = z_u * z_u
-    total = 0.0
-    for center, cluster in zip(uav_centers, assignment.clusters):
-        if cluster:
-            s_max, _ = farthest_user(center, cluster, users)
-            total += (s_max + z2) ** (0.5 * exponent)
-    return total
-
-
 def greedy_min_size_clustering(
     uav_centers: Sequence[Sequence[float]],
     users: Sequence[Sequence[float]],
     exponent: float,
     z_u: float,
-    fov_ground_radius: Optional[float] = None,
-    order_seed: Optional[int] = None,
+    fov_ground_radius: float = math.inf,
 ) -> CellAssociation:
     """Assign each user to the cell whose disk cost grows the least.
 
-    Users are processed in index order (or a seeded shuffle when
-    order_seed is given).  Disks start at zero radius and zero cost, so a
-    user entering an empty cell pays that cell's full (r^2+z_u^2)^(e/2)
-    while a user already inside an occupied disk costs nothing; ties go to
-    the lowest UAV index.  Candidates farther than fov_ground_radius from
-    a UAV are never assigned to it; a user outside every UAV's field of
-    view raises InfeasibleError.  The running total after each insertion
-    equals ``cluster_cost`` of the partial assignment, and never decreases.
+    Users are processed in index order.  Disks start at zero radius and
+    zero cost, so a user entering an empty cell pays that cell's full
+    (r^2+z_u^2)^(e/2) while a user already inside an occupied disk costs
+    nothing; ties go to the lowest UAV index.  Candidates farther than
+    fov_ground_radius from a UAV are never assigned to it; a user outside
+    every UAV's field of view raises InfeasibleError.  The running total
+    after each insertion is the sum of (farthest 3D distance)^e over the
+    non-empty cells of the partial assignment, and never decreases.
     """
     if z_u <= 0.0:
         raise ValueError("z_u must be > 0")
     if not uav_centers:
         raise ValueError("at least one UAV center is required")
     centers = [(float(c[0]), float(c[1])) for c in uav_centers]
-    order = list(range(len(users)))
-    if order_seed is not None:
-        random.Random(order_seed).shuffle(order)
 
     z2 = z_u * z_u
     half_exp = 0.5 * exponent
@@ -113,8 +88,8 @@ def greedy_min_size_clustering(
     cost = [0.0] * len(centers)
     clusters: list[list[int]] = [[] for _ in centers]
 
-    for j in order:
-        ux, uy = float(users[j][0]), float(users[j][1])
+    for j, u in enumerate(users):
+        ux, uy = float(u[0]), float(u[1])
         best_i = -1
         best_growth = math.inf
         best_sq = 0.0
@@ -122,7 +97,7 @@ def greedy_min_size_clustering(
             dx = cx - ux
             dy = cy - uy
             r = math.hypot(dx, dy)
-            if fov_ground_radius is not None and r > fov_ground_radius:
+            if r > fov_ground_radius:
                 continue
             s = r * r + z2
             growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
@@ -138,8 +113,5 @@ def greedy_min_size_clustering(
         if best_sq > sq_radius[best_i]:
             sq_radius[best_i] = best_sq
             cost[best_i] = best_sq ** half_exp
-    if order_seed is not None:
-        for cluster in clusters:
-            cluster.sort()
     return CellAssociation(clusters)
 

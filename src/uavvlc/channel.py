@@ -159,12 +159,10 @@ class Requirements:
 def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:
     """DC channel gain between a UAV and a ground user.
 
-    uav_pos is (x, y) at params.uav_height, or (x, y, z) to override the
-    height.  Returns 0.0 when the user falls outside the field of view.
+    uav_pos is (x, y), at params.uav_height above the ground.  Returns 0.0
+    when the user falls outside the field of view.
     """
-    z = float(uav_pos[2]) if len(uav_pos) > 2 else params.uav_height
-    if z <= 0.0:
-        raise ValueError("UAV height must be > 0")
+    z = params.uav_height
     dx = float(uav_pos[0]) - float(user_pos[0])
     dy = float(uav_pos[1]) - float(user_pos[1])
     r = math.hypot(dx, dy)

@@ -22,12 +22,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Iterable, Iterator, Optional, Sequence, get_type_hints
 
 from .channel import (Requirements, VlcParams, constraint_coefficients,
                       min_power_for_radius)
 from .optimizer import DeploymentSolution
-from .scenario import (SCHEMES, ScenarioConfig, generate_scenario,
+from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
                        per_user_report, run_monte_carlo, solve_scenario)
 
 EXIT_OK = 0
@@ -79,9 +79,6 @@ class RunConfig:
             noise_std=self.noise_std_a,
             illum_factor=self.illum_factor,
             uav_height=height)
-
-    def requirements(self) -> Requirements:
-        return Requirements(self.rate_threshold_bits, self.illum_threshold)
 
 
 def _parse_int(field_name: str, raw: str) -> int:
@@ -206,6 +203,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("cth_sweep: FROM must be > 0 when "
                               "illum_threshold is 0")
         _check_power_finite(cfg, "cth_sweep", hi)
+    if cfg.mode in ("single", "fig4") and len(cfg.heights) > 1:
+        raise ConfigError(f"heights: {cfg.mode} mode takes one height, "
+                          f"got {len(cfg.heights)}")
 
 
 def _check_power_finite(cfg: RunConfig, name: str,
@@ -284,34 +284,37 @@ def _write_json(path: Path, payload: dict) -> None:
                     + "\n")
 
 
-def _write_per_user_csv(path: Path, reports, users, reqs) -> None:
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PER_USER_COLUMNS)
-        for rep in reports:
-            u = users[rep.user_index]
-            writer.writerow([rep.user_index, _fmt(u.x), _fmt(u.y),
-                             rep.serving_uav, _fmt(rep.achieved_rate),
-                             _fmt(rep.achieved_illum),
-                             _fmt(reqs.rate_threshold),
-                             _fmt(reqs.illum_threshold)])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_per_user_csv(path: Path, scenario: Scenario,
+                        solution: DeploymentSolution) -> None:
+    users, reqs = scenario.users, scenario.reqs
+    reports = per_user_report(solution, users, scenario.params, reqs)
+    # reports come in user index order, one per user
+    _write_csv(path, PER_USER_COLUMNS, (
+        [rep.user_index, _fmt(u.x), _fmt(u.y), rep.serving_uav,
+         _fmt(rep.achieved_rate), _fmt(rep.achieved_illum),
+         _fmt(reqs.rate_threshold), _fmt(reqs.illum_threshold)]
+        for rep, u in zip(reports, users)))
 
 
 def _scenario_config(cfg: RunConfig, height: float,
-                     reqs: Optional[Requirements] = None) -> ScenarioConfig:
+                     rate_threshold: float) -> ScenarioConfig:
     return ScenarioConfig(
         area_size=cfg.area_size, grid=cfg.grid, num_users=cfg.users,
         base_seed=cfg.seed, params=cfg.params_at(height),
-        reqs=reqs if reqs is not None else cfg.requirements(),
+        reqs=Requirements(rate_threshold, cfg.illum_threshold),
         max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
 
 
 def run_single(cfg: RunConfig, out_dir: Path) -> int:
-    height = cfg.heights[0]
-    scenario = generate_scenario(
-        seed=cfg.seed, area_size=cfg.area_size, grid=cfg.grid,
-        num_users=cfg.users, params=cfg.params_at(height),
-        reqs=cfg.requirements())
+    scenario = _scenario_config(cfg, cfg.heights[0],
+                                cfg.rate_threshold_bits).scenario()
     record = {"config": _config_record(cfg), "seed": cfg.seed, "schemes": {}}
     status = EXIT_OK
     for scheme in cfg.schemes:
@@ -323,22 +326,28 @@ def run_single(cfg: RunConfig, out_dir: Path) -> int:
         print(f"{scheme}: total_power_w={_fmt(solution.total_power)} "
               f"feasible={solution.feasible}")
         if scheme != "sa2" and solution.feasible:
-            reports = per_user_report(solution, scenario.users,
-                                      scenario.params, scenario.reqs)
             _write_per_user_csv(out_dir / f"per_user_{scheme}.csv",
-                                reports, scenario.users, scenario.reqs)
+                                scenario, solution)
     _write_json(out_dir / "single_result.json", record)
     return status
 
 
-def run_montecarlo(cfg: RunConfig, out_dir: Path) -> int:
+def _batches(cfg: RunConfig, rate_thresholds: Sequence[float]
+             ) -> Iterator[tuple[float, float, MonteCarloSummary]]:
+    """A Monte Carlo batch per height and rate threshold, heights outermost."""
     workers = workers_from_env()
+    for height in cfg.heights:
+        for rate_threshold in rate_thresholds:
+            yield height, rate_threshold, run_monte_carlo(
+                _scenario_config(cfg, height, rate_threshold), cfg.runs,
+                schemes=cfg.schemes, workers=workers)
+
+
+def run_montecarlo(cfg: RunConfig, out_dir: Path) -> int:
     status = EXIT_OK
     rows = []
     payload = {"config": _config_record(cfg), "heights": {}}
-    for height in cfg.heights:
-        summary = run_monte_carlo(_scenario_config(cfg, height), cfg.runs,
-                                  schemes=cfg.schemes, workers=workers)
+    for height, _, summary in _batches(cfg, [cfg.rate_threshold_bits]):
         height_record = {"reductions_percent": dict(summary.reductions),
                          "schemes": {}}
         for scheme in cfg.schemes:
@@ -356,10 +365,7 @@ def run_montecarlo(cfg: RunConfig, out_dir: Path) -> int:
         payload["heights"][_fmt(height)] = height_record
         for scheme, pct in summary.reductions.items():
             print(f"height {height} m: proposed saves {pct:.2f}% vs {scheme}")
-    with (out_dir / "montecarlo.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MC_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(out_dir / "montecarlo.csv", MC_COLUMNS, rows)
     _write_json(out_dir / "montecarlo.json", payload)
     return status
 
@@ -378,26 +384,16 @@ def _sweep_values(sweep: tuple[float, float, float]) -> list[float]:
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    workers = workers_from_env()
     status = EXIT_OK
     rows = []
-    for height in cfg.heights:
-        for cth in _sweep_values(cfg.cth_sweep):
-            reqs = Requirements(cth, cfg.illum_threshold)
-            summary = run_monte_carlo(_scenario_config(cfg, height, reqs),
-                                      cfg.runs, schemes=cfg.schemes,
-                                      workers=workers)
-            for scheme in cfg.schemes:
-                st = summary.stats[scheme]
-                rows.append(["rate_threshold_bits", _fmt(cth), scheme,
-                             _fmt(height), _fmt(st.mean), _fmt(st.std),
-                             cfg.runs])
-                if st.infeasible_runs:
-                    status = EXIT_INFEASIBLE
-    with (out_dir / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+    for height, cth, summary in _batches(cfg, _sweep_values(cfg.cth_sweep)):
+        for scheme in cfg.schemes:
+            st = summary.stats[scheme]
+            rows.append(["rate_threshold_bits", _fmt(cth), scheme,
+                         _fmt(height), _fmt(st.mean), _fmt(st.std), cfg.runs])
+            if st.infeasible_runs:
+                status = EXIT_INFEASIBLE
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     print(f"sweep: wrote {len(rows)} rows")
     return status
 
@@ -405,23 +401,17 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> int:
 def run_fig4(cfg_case1: RunConfig, cfg_case2: RunConfig, out_dir: Path) -> int:
     status = EXIT_OK
     for label, cfg in (("case1", cfg_case1), ("case2", cfg_case2)):
-        height = cfg.heights[0]
-        scenario = generate_scenario(
-            seed=cfg.seed, area_size=cfg.area_size, grid=cfg.grid,
-            num_users=cfg.users, params=cfg.params_at(height),
-            reqs=cfg.requirements())
+        scenario = _scenario_config(cfg, cfg.heights[0],
+                                    cfg.rate_threshold_bits).scenario()
         solution = solve_scenario(scenario, "proposed",
                                   max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
         if not solution.feasible:
             print(f"{label}: infeasible")
             status = EXIT_INFEASIBLE
             continue
-        reports = per_user_report(solution, scenario.users, scenario.params,
-                                  scenario.reqs)
-        _write_per_user_csv(out_dir / f"fig4_{label}.csv", reports,
-                            scenario.users, scenario.reqs)
+        _write_per_user_csv(out_dir / f"fig4_{label}.csv", scenario, solution)
         print(f"{label}: total_power_w={_fmt(solution.total_power)} "
-              f"users={len(reports)}")
+              f"users={len(scenario.users)}")
     return status
 
 

@@ -44,14 +44,6 @@ class Rect(NamedTuple):
     def center(self) -> Point2:
         return Point2((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
 
-    def corners(self) -> list[Point2]:
-        return [
-            Point2(self.x0, self.y0),
-            Point2(self.x1, self.y0),
-            Point2(self.x1, self.y1),
-            Point2(self.x0, self.y1),
-        ]
-
     def half_diagonal(self) -> float:
         """Distance from the center to any corner."""
         return math.hypot(self.width / 2.0, self.height / 2.0)

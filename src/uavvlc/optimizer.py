@@ -75,15 +75,14 @@ def geographic_association(users: Sequence[Sequence[float]],
 
 def locate_uavs(association: CellAssociation,
                 users: Sequence[Sequence[float]],
-                previous_positions: Sequence[Sequence[float]],
-                rng_seed: int = 0) -> list[Point2]:
+                previous_positions: Sequence[Sequence[float]]) -> list[Point2]:
     """SED center of each cluster; empty clusters keep their previous position."""
     if len(association.clusters) != len(previous_positions):
         raise ValueError("association and previous_positions disagree on UAV count")
     positions = [Point2(float(p[0]), float(p[1])) for p in previous_positions]
     for i, cluster in enumerate(association.clusters):
         if cluster:
-            disk = smallest_enclosing_disk([users[j] for j in cluster], rng_seed)
+            disk = smallest_enclosing_disk([users[j] for j in cluster])
             positions[i] = disk.center
     return positions
 
@@ -161,8 +160,7 @@ def optimize(users: Sequence[Sequence[float]],
              reqs: Requirements,
              initial_association: Optional[CellAssociation] = None,
              max_iters: int = 20,
-             rel_tol: float = 1e-9,
-             rng_seed: int = 0) -> DeploymentSolution:
+             rel_tol: float = 1e-9) -> DeploymentSolution:
     """Alternate greedy re-association and SED relocation, keep the best state.
 
     Starts from the given positions and association (nearest-position by
@@ -189,7 +187,7 @@ def optimize(users: Sequence[Sequence[float]],
     assoc.labels(len(users))    # validate the partition up front
 
     start = _fixed_solution(positions, assoc, users, coeffs, params, "init")
-    positions = locate_uavs(assoc, users, positions, rng_seed)
+    positions = locate_uavs(assoc, users, positions)
     best = _fixed_solution(positions, assoc, users, coeffs, params, "locate")
     if not best.feasible:
         return best
@@ -203,7 +201,7 @@ def optimize(users: Sequence[Sequence[float]],
             fov_ground_radius=params.fov_ground_radius)
         if cand_assoc.clusters == assoc.clusters:
             break    # association fixed point; relocation would change nothing
-        positions = locate_uavs(cand_assoc, users, positions, rng_seed)
+        positions = locate_uavs(cand_assoc, users, positions)
         assoc = cand_assoc
         per, total = evaluate_power(positions, assoc, users, coeffs, params)
         if total < best.total_power:
@@ -248,11 +246,10 @@ def baseline_sa2(sub_areas: Sequence[Rect],
 def baseline_uavoo(users: Sequence[Sequence[float]],
                    sub_areas: Sequence[Rect],
                    params: VlcParams,
-                   reqs: Requirements,
-                   rng_seed: int = 0) -> DeploymentSolution:
+                   reqs: Requirements) -> DeploymentSolution:
     """Location optimization only: geographic association, SED positions."""
     centers = [r.center() for r in sub_areas]
     assoc = geographic_association(users, sub_areas)
-    positions = locate_uavs(assoc, users, centers, rng_seed)
+    positions = locate_uavs(assoc, users, centers)
     return _fixed_solution(positions, assoc, users,
                            constraint_coefficients(params, reqs), params, "uavoo")

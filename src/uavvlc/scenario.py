@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -58,10 +57,6 @@ class Scenario:
     params: VlcParams
     reqs: Requirements
 
-    @property
-    def num_uavs(self) -> int:
-        return len(self.sub_areas)
-
 
 def generate_scenario(seed: int, area_size: float = 10.0,
                       grid: tuple[int, int] = (2, 2), num_users: int = 16,
@@ -82,8 +77,8 @@ def generate_scenario(seed: int, area_size: float = 10.0,
                     reqs=reqs if reqs is not None else default_requirements())
 
 
-def solve_scenario(scenario: Scenario, scheme: str, rng_seed: int = 0,
-                   max_iters: int = 20, rel_tol: float = 1e-9) -> DeploymentSolution:
+def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
+                   rel_tol: float = 1e-9) -> DeploymentSolution:
     """Run one scheme on one scenario."""
     users, params, reqs = scenario.users, scenario.params, scenario.reqs
     sub_areas = scenario.sub_areas
@@ -91,9 +86,9 @@ def solve_scenario(scenario: Scenario, scheme: str, rng_seed: int = 0,
         centers = [r.center() for r in sub_areas]
         return optimize(users, centers, params, reqs,
                         initial_association=geographic_association(users, sub_areas),
-                        max_iters=max_iters, rel_tol=rel_tol, rng_seed=rng_seed)
+                        max_iters=max_iters, rel_tol=rel_tol)
     if scheme == "uavoo":
-        return baseline_uavoo(users, sub_areas, params, reqs, rng_seed=rng_seed)
+        return baseline_uavoo(users, sub_areas, params, reqs)
     if scheme == "sa1":
         return baseline_sa1(users, sub_areas, params, reqs)
     if scheme == "sa2":
@@ -143,6 +138,12 @@ class ScenarioConfig:
     max_iters: int = 20
     rel_tol: float = 1e-9
 
+    def scenario(self, run_index: int = 0) -> Scenario:
+        """The family's scenario number run_index, seeded base_seed + run_index."""
+        return generate_scenario(self.base_seed + run_index, self.area_size,
+                                 self.grid, self.num_users, self.params,
+                                 self.reqs)
+
 
 @dataclass
 class SchemeStats:
@@ -164,10 +165,7 @@ class MonteCarloSummary:
 
 def _run_one(args) -> dict[str, tuple[float, bool]]:
     config, run_index, schemes = args
-    scenario = generate_scenario(
-        seed=config.base_seed + run_index, area_size=config.area_size,
-        grid=config.grid, num_users=config.num_users,
-        params=config.params, reqs=config.reqs)
+    scenario = config.scenario(run_index)
     out = {}
     for scheme in schemes:
         sol = solve_scenario(scenario, scheme,
@@ -233,6 +231,8 @@ def run_monte_carlo(config: ScenarioConfig, num_runs: int,
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     jobs = [(config, k, tuple(schemes)) for k in range(num_runs)]
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs, chunksize=32))
     else:

@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from uavvlc.assignment import CellAssociation, cluster_cost
+from uavvlc.assignment import CellAssociation, farthest_user
 from uavvlc.channel import (_LN2, _TWO_PI, InfeasibleError, Requirements,
                             VlcParams)
 from uavvlc.geometry import (Disk, Point2, _circumdisk, _covers,
@@ -51,6 +51,22 @@ def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
             best = cand
     assert best is not None
     return Disk(Point2(best[0], best[1]), best[2])
+
+
+def cluster_cost(assignment: CellAssociation,
+                 uav_centers: Sequence[Sequence[float]],
+                 users: Sequence[Sequence[float]],
+                 exponent: float, z_u: float) -> float:
+    """Sum over non-empty cells of (3D distance to farthest user)^exponent."""
+    if z_u <= 0.0:
+        raise ValueError("z_u must be > 0")
+    z2 = z_u * z_u
+    total = 0.0
+    for center, cluster in zip(uav_centers, assignment.clusters):
+        if cluster:
+            s_max, _ = farthest_user(center, cluster, users)
+            total += (s_max + z2) ** (0.5 * exponent)
+    return total
 
 
 def exhaustive_min_size_clustering(

@@ -11,9 +11,9 @@ import random
 import sys
 import time
 
-from oracles import (exhaustive_min_size_clustering, min_power_illum,
-                     min_power_rate, sed_bruteforce)
-from uavvlc.assignment import cluster_cost, greedy_min_size_clustering
+from oracles import (cluster_cost, exhaustive_min_size_clustering,
+                     min_power_illum, min_power_rate, sed_bruteforce)
+from uavvlc.assignment import greedy_min_size_clustering
 from uavvlc.channel import (Requirements, VlcParams, capacity_lower_bound,
                             channel_gain, constraint_coefficients,
                             lambertian_order)

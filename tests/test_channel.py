@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -147,8 +148,8 @@ class TestChannelGain:
         assert channel_gain((0.0, 0.0), (edge * 1.0000001, 0.0), p) == 0.0
 
     def test_height_override_third_coordinate(self):
-        p = table_params()
-        h12 = channel_gain((0.0, 0.0, 12.0), (0.0, 0.0), p)
+        p = replace(table_params(), uav_height=12.0)
+        h12 = channel_gain((0.0, 0.0), (0.0, 0.0), p)
         # (m+1) A g / (2 pi z^2) at nadir
         assert h12 == pytest.approx(6e-4 / (2.0 * math.pi * 144.0), rel=1e-12)
 

@@ -119,6 +119,17 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="cth_sweep"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("mode,accepted", [
+        ("single", False), ("fig4", False), ("montecarlo", True),
+        ("sweep", True)])
+    def test_several_heights_only_in_batch_modes(self, mode, accepted):
+        cfg = RunConfig(mode=mode, heights=[8.0, 12.0])
+        if accepted:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match="^heights: "):
+                validate_config(cfg)
+
     def test_both_thresholds_zero(self):
         cfg = RunConfig()
         cfg.rate_threshold_bits = 0.0
@@ -394,6 +405,20 @@ class TestMainEntry:
         path.write_text("nope = 1\n")
         assert main(["--config", str(path)]) == 1
         assert "nope" in capsys.readouterr().err
+
+    def test_extra_height_exits_one(self, tmp_path, capsys):
+        # single and fig4 solve at one height; a second one is an error,
+        # whether it comes from the flags or from a fig4 case file
+        case = tmp_path / "case.cfg"
+        case.write_text("heights = 8,12\n")
+        for args in (("--mode", "single", "--height", 8, "--height", 12),
+                     ("--mode", "fig4", "--case2", case)):
+            out = tmp_path / "out"
+            assert run_cli(*args, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("error: heights: "), err
+            assert not list(out.glob("*"))
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import min_power_illum, min_power_rate, sed_bruteforce
+from oracles import (cluster_cost, min_power_illum, min_power_rate,
+                     sed_bruteforce)
 from uavvlc.assignment import CellAssociation
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
@@ -287,7 +288,6 @@ class TestOptimize:
     def test_power_ranking_equals_cost_ranking(self):
         # with positions fixed, total power is a fixed multiple of the
         # clustering cost, so the two orderings coincide
-        from uavvlc.assignment import cluster_cost
         users = random_users(9, n=5)
         positions = [(2.5, 5.0), (7.5, 5.0)]
         records = []

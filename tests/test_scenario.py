@@ -78,7 +78,7 @@ class TestGenerateScenario:
 
     def test_grid_and_uav_count(self):
         sc = generate_scenario(seed=0, grid=(4, 2))
-        assert sc.num_uavs == 8
+        assert len(sc.sub_areas) == 8
 
 
 class TestSolveScenario:
@@ -142,6 +142,19 @@ class TestPerUserReport:
         assert not sol.feasible
         with pytest.raises(ValueError):
             per_user_report(sol, sc.users, sc.params, sc.reqs)
+
+
+class TestScenarioConfig:
+    def test_scenario_k_is_seeded_base_seed_plus_k(self):
+        params = default_params(uav_height=12.0)
+        reqs = Requirements(1.5, 0.2)
+        config = ScenarioConfig(area_size=20.0, grid=(3, 2), num_users=9,
+                                base_seed=40, params=params, reqs=reqs)
+        for k in (0, 5):
+            assert config.scenario(k) == generate_scenario(
+                seed=40 + k, area_size=20.0, grid=(3, 2), num_users=9,
+                params=params, reqs=reqs)
+        assert config.scenario() == config.scenario(0)
 
 
 class TestMonteCarlo:
@@ -231,6 +244,15 @@ class TestMeanStd:
     def test_package_imports_without_numpy(self):
         code = ("import sys; sys.modules['numpy'] = None; "
                 "import uavvlc, uavvlc.cli")
+        src = str(Path(uavvlc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_package_imports_without_multiprocessing(self):
+        # only a Monte Carlo batch with workers > 1 needs a process pool
+        code = ("import sys, uavvlc, uavvlc.cli; "
+                "assert 'multiprocessing' not in sys.modules")
         src = str(Path(uavvlc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-c", code], cwd=src,
                                 capture_output=True, text=True)
