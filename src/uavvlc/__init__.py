@@ -10,8 +10,7 @@ so the farthest user of each cell sets its transmit power.
 from .assignment import CellAssociation, greedy_min_size_clustering
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, capacity_lower_bound, channel_gain,
-                      constraint_coefficients, lambertian_order,
-                      min_power_for_radius)
+                      constraint_coefficients, min_power_for_radius)
 from .geometry import Disk, Point2, Rect, smallest_enclosing_disk
 from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa1,
                         baseline_sa2, baseline_uavoo, evaluate_power,
@@ -28,7 +27,7 @@ __all__ = [
     "CellAssociation", "greedy_min_size_clustering",
     "ConstraintCoefficients", "InfeasibleError", "Requirements", "VlcParams",
     "capacity_lower_bound", "channel_gain", "constraint_coefficients",
-    "lambertian_order", "min_power_for_radius",
+    "min_power_for_radius",
     "Disk", "Point2", "Rect", "smallest_enclosing_disk",
     "DeploymentSolution", "IterationEntry", "baseline_sa1", "baseline_sa2",
     "baseline_uavoo", "evaluate_power", "geographic_association",

@@ -19,13 +19,14 @@ transmit power and sigma_w the noise standard deviation.  Inverting C and
 the illuminance target eta = xi * P * h gives the per-link minimum powers.
 Both scale as d^(m+3) once the geometry is folded in, which is what makes
 the farthest user of each cell the binding one; ``constraint_coefficients``
-and ``min_power_for_radius`` evaluate that power law directly.
+and ``min_power_for_radius`` evaluate that power law directly, the latter
+giving inf for a user outside the field of view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import mpmath
@@ -47,36 +48,27 @@ class InfeasibleError(Exception):
         self.user_index = user_index
 
 
-def lambertian_order(tx_semi_angle: float) -> float:
-    """Lambertian order m = -ln 2 / ln(cos Phi_1/2) of an LED.
-
-    tx_semi_angle is the half-power semi-angle in radians, in (0, pi/2).
-    """
-    if not 0.0 < tx_semi_angle < math.pi / 2.0:
-        raise ValueError("tx_semi_angle must be in (0, pi/2) radians")
-    return -_LN2 / math.log(math.cos(tx_semi_angle))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VlcParams:
     """Physical-layer parameters of one LED/photodiode link.
 
-    Angles are radians.  The derived constants (Lambertian order, in-FOV
-    concentrator gain, FOV tangent) are computed once at construction;
-    ``from_degrees`` supplies them from extended-precision trigonometry so
-    that special angles give exact values (m = 1 at 60 degrees).
+    Angles are degrees.  The derived constants (Lambertian order, in-FOV
+    concentrator gain, FOV tangent) are computed once at construction from
+    extended-precision trigonometry rounded once to double, so special
+    angles give exact values (m = 1 and g = 3 at 60 degrees).  They cannot
+    be passed in, and ``dataclasses.replace`` recomputes them.
     """
 
     detector_area: float            # photodiode physical area, m^2
     refractive_index: float         # concentrator refractive index n_r
-    tx_semi_angle: float            # LED half-power semi-angle, rad
-    fov_semi_angle: float           # receiver field-of-view semi-angle, rad
+    tx_semi_angle_deg: float        # LED half-power semi-angle, degrees
+    fov_semi_angle_deg: float       # receiver field-of-view semi-angle, degrees
     noise_std: float = 1e-10        # AWGN standard deviation sigma_w, A
     illum_factor: float = 1.0       # electro-optic conversion factor xi
     uav_height: float = 8.0         # LED height above ground z_u, m
-    lambertian_m: float = -1.0      # derived unless supplied (> 0)
-    fov_gain: float = -1.0          # concentrator gain inside the FOV
-    fov_tan: float = -1.0           # tan of the FOV semi-angle
+    lambertian_m: float = field(init=False)     # -ln 2 / ln cos(Phi_1/2)
+    fov_gain: float = field(init=False)         # n_r^2 / sin^2(Psi_c)
+    fov_tan: float = field(init=False)          # tan(Psi_c), inf at 90 deg
 
     def __post_init__(self):
         # every comparison is written so that NaN fails it
@@ -84,51 +76,29 @@ class VlcParams:
                      "illum_factor", "uav_height"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not 0.0 < self.tx_semi_angle < math.pi / 2.0:
-            raise ValueError("tx_semi_angle must be in (0, pi/2) radians")
-        if not 0.0 < self.fov_semi_angle <= math.pi / 2.0:
-            raise ValueError("fov_semi_angle must be in (0, pi/2] radians")
-        if not self.lambertian_m > 0.0:
-            object.__setattr__(self, "lambertian_m",
-                               lambertian_order(self.tx_semi_angle))
-        if not self.fov_gain > 0.0:
-            sin_psi = math.sin(self.fov_semi_angle)
-            object.__setattr__(self, "fov_gain",
-                               self.refractive_index ** 2 / (sin_psi * sin_psi))
-        if not self.fov_tan > 0.0:
-            tan_psi = (math.inf if self.fov_semi_angle >= math.pi / 2.0
-                       else math.tan(self.fov_semi_angle))
-            object.__setattr__(self, "fov_tan", tan_psi)
-
-    @classmethod
-    def from_degrees(cls, detector_area: float, refractive_index: float,
-                     tx_semi_angle_deg: float, fov_semi_angle_deg: float,
-                     noise_std: float = 1e-10, illum_factor: float = 1.0,
-                     uav_height: float = 8.0) -> "VlcParams":
-        """Construct with angles given in degrees.
-
-        Trigonometric functions of the degree values are evaluated in
-        extended precision and rounded once to double, so cos(60 deg) is
-        exactly 0.5 and m(60 deg) is exactly 1.0 rather than off by an ulp.
-        """
-        if not 0.0 < tx_semi_angle_deg < 90.0:
+        if not 0.0 < self.tx_semi_angle_deg < 90.0:
             raise ValueError("tx_semi_angle_deg must be in (0, 90)")
-        if not 0.0 < fov_semi_angle_deg <= 90.0:
+        if not 0.0 < self.fov_semi_angle_deg <= 90.0:
             raise ValueError("fov_semi_angle_deg must be in (0, 90]")
         with mpmath.mp.workdps(40):
-            phi = mpmath.radians(mpmath.mpf(tx_semi_angle_deg))
-            psi = mpmath.radians(mpmath.mpf(fov_semi_angle_deg))
+            phi = mpmath.radians(mpmath.mpf(self.tx_semi_angle_deg))
+            psi = mpmath.radians(mpmath.mpf(self.fov_semi_angle_deg))
             m = float(-mpmath.log(2) / mpmath.log(mpmath.cos(phi)))
             sin2_psi = float(mpmath.sin(psi) ** 2)
-            tan_psi = (math.inf if fov_semi_angle_deg >= 90.0
+            tan_psi = (math.inf if self.fov_semi_angle_deg >= 90.0
                        else float(mpmath.tan(psi)))
-            phi_rad = float(phi)
-            psi_rad = float(psi)
-        return cls(detector_area, refractive_index, phi_rad, psi_rad,
-                   noise_std, illum_factor, uav_height,
-                   lambertian_m=m,
-                   fov_gain=refractive_index ** 2 / sin2_psi,
-                   fov_tan=tan_psi)
+        object.__setattr__(self, "lambertian_m", m)
+        object.__setattr__(self, "fov_gain", self.refractive_index ** 2 / sin2_psi)
+        object.__setattr__(self, "fov_tan", tan_psi)
+
+    @classmethod
+    def from_degrees(cls, **kwargs) -> "VlcParams":
+        """Same as ``VlcParams(**kwargs)``.
+
+        Kept as an alias because the set-up probe in ``bench/run.py`` calls
+        it by name.
+        """
+        return cls(**kwargs)
 
     @property
     def fov_ground_radius(self) -> float:
@@ -225,13 +195,12 @@ def min_power_for_radius(r: float, coeffs: ConstraintCoefficients,
                          params: VlcParams) -> float:
     """Minimum power to serve a user at horizontal distance r.
 
-    Raises InfeasibleError when r falls outside the FOV ground radius.
+    Returns inf when r falls outside the FOV ground radius, where no power
+    serves the user.
     """
     if r < 0.0:
         raise ValueError("horizontal distance must be >= 0")
     if r > params.fov_ground_radius:
-        raise InfeasibleError(
-            f"horizontal distance {r:.6g} m exceeds the FOV ground radius "
-            f"{params.fov_ground_radius:.6g} m")
+        return math.inf
     z = params.uav_height
     return coeffs.prefactor * (r * r + z * z) ** (0.5 * coeffs.exponent)

@@ -71,7 +71,7 @@ class RunConfig:
     rel_tol: float = 1e-9
 
     def params_at(self, height: float) -> VlcParams:
-        return VlcParams.from_degrees(
+        return VlcParams(
             detector_area=self.detector_area_m2,
             refractive_index=self.refractive_index,
             tx_semi_angle_deg=self.tx_semi_angle_deg,
@@ -466,6 +466,9 @@ def _case_config(base: RunConfig, path: Optional[str],
     cfg.illum_threshold = illum_threshold
     if path:
         apply_config_file(cfg, path)
+        if cfg.mode != base.mode:
+            raise ConfigError(f"mode: a {base.mode} case file cannot set mode "
+                              f"{cfg.mode!r}")
     validate_config(cfg)
     return cfg
 

@@ -87,15 +87,6 @@ def locate_uavs(association: CellAssociation,
     return positions
 
 
-def _cell_power(r: float, coeffs: ConstraintCoefficients,
-                params: VlcParams) -> float:
-    # Power for a cell whose farthest user is r away; inf outside the FOV.
-    try:
-        return min_power_for_radius(r, coeffs, params)
-    except InfeasibleError:
-        return math.inf
-
-
 def _price(positions: Sequence[Sequence[float]],
            association: CellAssociation,
            users: Sequence[Sequence[float]],
@@ -110,7 +101,7 @@ def _price(positions: Sequence[Sequence[float]],
             per.append(0.0)
             continue
         s_max, j_max = farthest_user(positions[i], cluster, users)
-        power = _cell_power(math.sqrt(s_max), coeffs, params)
+        power = min_power_for_radius(math.sqrt(s_max), coeffs, params)
         if power == math.inf and violation is None:
             violation = (i, j_max)
         per.append(power)
@@ -194,7 +185,6 @@ def optimize(users: Sequence[Sequence[float]],
     if start.feasible:    # fixed initial placement may violate the FOV
         best.iterations.insert(0, start.iterations[0])
 
-    prev_best = best.total_power
     for _ in range(max_iters):
         cand_assoc = greedy_min_size_clustering(
             positions, users, coeffs.exponent, params.uav_height,
@@ -205,12 +195,12 @@ def optimize(users: Sequence[Sequence[float]],
         assoc = cand_assoc
         per, total = evaluate_power(positions, assoc, users, coeffs, params)
         if total < best.total_power:
+            converged = best.total_power - total <= rel_tol * best.total_power
             best.uav_positions, best.association = list(positions), assoc
             best.per_uav_power, best.total_power = per, total
             best.iterations.append(IterationEntry(total, "round"))
-            if prev_best - total <= rel_tol * prev_best:
+            if converged:
                 break
-            prev_best = total
     return best
 
 
@@ -236,7 +226,8 @@ def baseline_sa2(sub_areas: Sequence[Rect],
     positions = [r.center() for r in sub_areas]
     assoc = CellAssociation([[] for _ in sub_areas])
     coeffs = constraint_coefficients(params, reqs)
-    per = [_cell_power(rect.half_diagonal(), coeffs, params) for rect in sub_areas]
+    per = [min_power_for_radius(rect.half_diagonal(), coeffs, params)
+           for rect in sub_areas]
     feasible = math.inf not in per
     total = math.fsum(per) if feasible else math.inf
     return DeploymentSolution(positions, assoc, per, total,

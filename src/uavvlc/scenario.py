@@ -19,7 +19,7 @@ from .channel import (Requirements, VlcParams, capacity_lower_bound,
                       channel_gain)
 from .geometry import Point2, Rect
 from .optimizer import (DeploymentSolution, baseline_sa1, baseline_sa2,
-                        baseline_uavoo, geographic_association, optimize)
+                        baseline_uavoo, optimize)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -27,7 +27,7 @@ SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 def default_params(uav_height: float = 8.0, noise_std: float = 1e-10,
                    illum_factor: float = 1.0) -> VlcParams:
     """Wide-beam LED defaults: 1 cm^2 detector, n_r = 1.5, 60 degree angles."""
-    return VlcParams.from_degrees(
+    return VlcParams(
         detector_area=1e-4, refractive_index=1.5,
         tx_semi_angle_deg=60.0, fov_semi_angle_deg=60.0,
         noise_std=noise_std, illum_factor=illum_factor, uav_height=uav_height)
@@ -85,7 +85,6 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     if scheme == "proposed":
         centers = [r.center() for r in sub_areas]
         return optimize(users, centers, params, reqs,
-                        initial_association=geographic_association(users, sub_areas),
                         max_iters=max_iters, rel_tol=rel_tol)
     if scheme == "uavoo":
         return baseline_uavoo(users, sub_areas, params, reqs)

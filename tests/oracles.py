@@ -98,11 +98,25 @@ def exhaustive_min_size_clustering(
     return best_assoc, best_cost
 
 
+def lambertian_order(tx_semi_angle: float) -> float:
+    """Lambertian order m = -ln 2 / ln(cos Phi_1/2) of an LED, in doubles.
+
+    tx_semi_angle is the half-power semi-angle in radians, in (0, pi/2).
+    """
+    if not 0.0 < tx_semi_angle < math.pi / 2.0:
+        raise ValueError("tx_semi_angle must be in (0, pi/2) radians")
+    return -_LN2 / math.log(math.cos(tx_semi_angle))
+
+
 def concentrator_gain(psi: float, params: VlcParams) -> float:
-    """Optical concentrator gain: n_r^2 / sin^2(Psi_c) inside the FOV, else 0."""
+    """Optical concentrator gain: n_r^2 / sin^2(Psi_c) inside the FOV, else 0.
+
+    psi is the incidence angle in radians.
+    """
     if psi < 0.0:
         raise ValueError("incidence angle must be >= 0")
-    return params.fov_gain if psi <= params.fov_semi_angle else 0.0
+    inside = psi <= math.radians(params.fov_semi_angle_deg)
+    return params.fov_gain if inside else 0.0
 
 
 def min_power_rate(gain: float, reqs: Requirements, params: VlcParams) -> float:

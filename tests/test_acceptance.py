@@ -12,11 +12,11 @@ import sys
 import time
 
 from oracles import (cluster_cost, exhaustive_min_size_clustering,
-                     min_power_illum, min_power_rate, sed_bruteforce)
+                     lambertian_order, min_power_illum, min_power_rate,
+                     sed_bruteforce)
 from uavvlc.assignment import greedy_min_size_clustering
 from uavvlc.channel import (Requirements, VlcParams, capacity_lower_bound,
-                            channel_gain, constraint_coefficients,
-                            lambertian_order)
+                            channel_gain, constraint_coefficients)
 from uavvlc.geometry import smallest_enclosing_disk
 from uavvlc.scenario import (ScenarioConfig, default_params,
                              default_requirements, generate_scenario,

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import concentrator_gain, min_power_illum, min_power_rate
+from oracles import (concentrator_gain, lambertian_order, min_power_illum,
+                     min_power_rate)
 from uavvlc.channel import (InfeasibleError, Requirements, VlcParams,
                             capacity_lower_bound, channel_gain,
-                            constraint_coefficients, lambertian_order,
-                            min_power_for_radius)
+                            constraint_coefficients, min_power_for_radius)
 
 # Hand-checked reference values for the defaults: A = 1e-4 m^2, n_r = 1.5,
 # 60 degree semi-angles, z_u = 8 m, sigma_w = 1e-10, xi = 1.
@@ -26,7 +26,7 @@ def table_params(**overrides):
               fov_semi_angle_deg=60.0, noise_std=1e-10, illum_factor=1.0,
               uav_height=8.0)
     kw.update(overrides)
-    return VlcParams.from_degrees(**kw)
+    return VlcParams(**kw)
 
 
 class TestLambertianOrder:
@@ -66,10 +66,27 @@ class TestVlcParams:
         assert p.fov_ground_radius == pytest.approx(8.0 * math.sqrt(3.0),
                                                     rel=1e-15)
 
-    def test_radian_constructor_fills_derived_constants(self):
-        p = VlcParams(1e-4, 1.5, math.radians(60.0), math.radians(60.0))
-        assert p.lambertian_m == pytest.approx(1.0, rel=1e-14)
-        assert p.fov_gain == pytest.approx(3.0, rel=1e-14)
+    def test_replace_recomputes_derived_constants(self):
+        p = replace(table_params(), tx_semi_angle_deg=30.0,
+                    fov_semi_angle_deg=80.0)
+        assert p == table_params(tx_semi_angle_deg=30.0,
+                                 fov_semi_angle_deg=80.0)
+        assert p.lambertian_m == pytest.approx(M_30_DEG, rel=1e-15)
+        assert p.fov_ground_radius == pytest.approx(
+            8.0 * math.tan(math.radians(80.0)), rel=1e-14)
+
+    def test_derived_constants_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            table_params(lambertian_m=7.0)
+        # positional angles used to be radians; keyword-only construction
+        # keeps an old call from silently building a beam about 1 deg wide
+        with pytest.raises(TypeError):
+            VlcParams(1e-4, 1.5, math.radians(60.0), math.radians(60.0))
+
+    def test_from_degrees_is_the_constructor(self):
+        assert VlcParams.from_degrees(
+            detector_area=1e-4, refractive_index=1.5, tx_semi_angle_deg=60.0,
+            fov_semi_angle_deg=60.0) == table_params()
 
     @pytest.mark.parametrize("field,value", [
         ("detector_area", 0.0),
@@ -122,8 +139,9 @@ class TestConcentratorGain:
     def test_inside_and_outside_fov(self):
         p = table_params()
         assert concentrator_gain(0.0, p) == 3.0
-        assert concentrator_gain(p.fov_semi_angle, p) == 3.0
-        assert concentrator_gain(p.fov_semi_angle + 1e-9, p) == 0.0
+        psi_c = math.radians(p.fov_semi_angle_deg)
+        assert concentrator_gain(psi_c, p) == 3.0
+        assert concentrator_gain(psi_c + 1e-9, p) == 0.0
 
     def test_negative_angle_rejected(self):
         with pytest.raises(ValueError):
@@ -256,10 +274,11 @@ class TestConstraintCoefficients:
                                                                   rel=1e-12)
 
     def test_outside_fov_infeasible(self):
+        # no power serves a user beyond the FOV ground radius
         p = table_params()
         c = constraint_coefficients(p, Requirements(2.0, 0.1))
-        with pytest.raises(InfeasibleError):
-            min_power_for_radius(p.fov_ground_radius * 1.001, c, p)
+        assert min_power_for_radius(p.fov_ground_radius * 1.001, c, p) \
+            == math.inf
 
     def test_negative_radius_rejected(self):
         p = table_params()

@@ -420,6 +420,18 @@ class TestMainEntry:
             assert err.startswith("error: heights: "), err
             assert not list(out.glob("*"))
 
+    def test_case_file_cannot_change_mode(self, tmp_path, capsys):
+        # a montecarlo case would pass the batch-mode height check and
+        # then be solved by fig4 at its first height only
+        case = tmp_path / "case.cfg"
+        case.write_text("mode = montecarlo\nheights = 8,12\n")
+        out = tmp_path / "out"
+        assert run_cli("--mode", "fig4", "--case1", case, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: mode: "), err
+        assert not list(out.glob("*"))
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "uavvlc", "--mode", "single",
