@@ -119,11 +119,11 @@ class Requirements:
     illum_threshold: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rate_threshold < math.inf
-                and 0.0 <= self.illum_threshold < math.inf):
-            raise ValueError("thresholds must be finite and >= 0")
+        for name in ("rate_threshold", "illum_threshold"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.rate_threshold == 0.0 and self.illum_threshold == 0.0:
-            raise ValueError("at least one threshold must be > 0")
+            raise ValueError("rate_threshold must be > 0 when illum_threshold is 0")
 
 
 def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:

@@ -70,16 +70,6 @@ class RunConfig:
     max_iters: int = 20
     rel_tol: float = 1e-9
 
-    def params_at(self, height: float) -> VlcParams:
-        return VlcParams(
-            detector_area=self.detector_area_m2,
-            refractive_index=self.refractive_index,
-            tx_semi_angle_deg=self.tx_semi_angle_deg,
-            fov_semi_angle_deg=self.fov_semi_angle_deg,
-            noise_std=self.noise_std_a,
-            illum_factor=self.illum_factor,
-            uav_height=height)
-
 
 def _parse_int(field_name: str, raw: str) -> int:
     try:
@@ -167,60 +157,59 @@ def apply_config_file(cfg: RunConfig, path: str) -> None:
         setattr(cfg, key, _parse_field(key, value))
 
 
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.mode not in ("single", "sweep", "montecarlo", "fig4"):
+# Library messages start with the field name, and errors report it as the
+# config key: these four are spelled differently, and threshold faults are
+# reported as "thresholds" (a sweep point's rate threshold as "cth_sweep").
+_CONFIG_KEYS = {"detector_area": "detector_area_m2", "noise_std": "noise_std_a",
+                "uav_height": "heights", "num_users": "users",
+                "illum_threshold": "thresholds"}
+
+
+def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
+    """Check cfg; return the scenario family of every (height, rate
+    threshold) the run solves, heights outermost.  VlcParams, Requirements
+    and ScenarioConfig check their own fields; this adds the CLI's rules."""
+    if cfg.mode not in _RUNNERS:
         raise ConfigError(f"mode: unknown mode {cfg.mode!r}")
-    positive = [("runs", cfg.runs), ("users", cfg.users),
-                ("area_size", cfg.area_size),
-                ("detector_area_m2", cfg.detector_area_m2),
-                ("refractive_index", cfg.refractive_index),
-                ("noise_std_a", cfg.noise_std_a),
-                ("illum_factor", cfg.illum_factor),
-                ("max_iters", cfg.max_iters)]
-    positive += [("heights", h) for h in cfg.heights]
     # each comparison is written so that NaN fails it
-    for name, value in positive:
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name}: must be finite and > 0, got {value}")
-    if not 0.0 < cfg.tx_semi_angle_deg < 90.0:
-        raise ConfigError("tx_semi_angle_deg: must be in (0, 90)")
-    if not 0.0 < cfg.fov_semi_angle_deg <= 90.0:
-        raise ConfigError("fov_semi_angle_deg: must be in (0, 90]")
-    if not (0.0 <= cfg.rate_threshold_bits < math.inf
-            and 0.0 <= cfg.illum_threshold < math.inf):
-        raise ConfigError("thresholds: must be finite and >= 0")
-    if cfg.rate_threshold_bits == 0.0 and cfg.illum_threshold == 0.0:
-        raise ConfigError("thresholds: at least one of rate_threshold_bits/"
-                          "illum_threshold must be > 0")
-    if not 0.0 <= cfg.rel_tol < math.inf:
-        raise ConfigError("rel_tol: must be finite and >= 0")
+    if not cfg.runs >= 1:
+        raise ConfigError(f"runs: must be >= 1, got {cfg.runs}")
     lo, hi, step = cfg.cth_sweep
     if not (0.0 <= lo <= hi < math.inf and 0.0 < step < math.inf):
         raise ConfigError("cth_sweep: need finite 0 <= FROM <= TO and STEP > 0")
-    _check_power_finite(cfg, "thresholds", cfg.rate_threshold_bits)
-    if cfg.mode == "sweep":
-        if lo == 0.0 and cfg.illum_threshold == 0.0:
-            raise ConfigError("cth_sweep: FROM must be > 0 when "
-                              "illum_threshold is 0")
-        _check_power_finite(cfg, "cth_sweep", hi)
-    if cfg.mode in ("single", "fig4") and len(cfg.heights) > 1:
-        raise ConfigError(f"heights: {cfg.mode} mode takes one height, "
-                          f"got {len(cfg.heights)}")
-
-
-def _check_power_finite(cfg: RunConfig, name: str,
-                        rate_threshold: float) -> None:
-    """Reject thresholds whose power at the farthest reachable user overflows.
-
-    Users and UAV positions lie inside the area, so no priced cell reaches
-    beyond the area diagonal or the FOV ground radius; power grows with
-    both the distance and the rate threshold, so this is the largest power
-    any run can ask for.
-    """
-    reqs = Requirements(rate_threshold, cfg.illum_threshold)
-    for height in cfg.heights:
-        params = cfg.params_at(height)
-        radius = min(params.fov_ground_radius, cfg.area_size * math.sqrt(2.0))
+    # the key that names a rate threshold's faults
+    source = "cth_sweep" if cfg.mode == "sweep" else "thresholds"
+    rates = (_sweep_values(cfg.cth_sweep) if cfg.mode == "sweep"
+             else [cfg.rate_threshold_bits])
+    families = []
+    try:
+        for height in cfg.heights:
+            params = VlcParams(
+                detector_area=cfg.detector_area_m2,
+                refractive_index=cfg.refractive_index,
+                tx_semi_angle_deg=cfg.tx_semi_angle_deg,
+                fov_semi_angle_deg=cfg.fov_semi_angle_deg,
+                noise_std=cfg.noise_std_a, illum_factor=cfg.illum_factor,
+                uav_height=height)
+            families += [ScenarioConfig(
+                area_size=cfg.area_size, grid=cfg.grid, num_users=cfg.users,
+                base_seed=cfg.seed, params=params,
+                reqs=Requirements(rate, cfg.illum_threshold),
+                max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+                for rate in rates]
+    except ValueError as err:
+        name, _, rest = str(err).partition(" ")
+        key = {**_CONFIG_KEYS, "rate_threshold": source}.get(name, name)
+        raise ConfigError(f"{key}: {rest}") from None
+    for family in families:
+        # Reject thresholds whose power at the farthest reachable user
+        # overflows.  Users and UAV positions lie inside the area, so no
+        # priced cell reaches beyond the area diagonal or the FOV ground
+        # radius; power grows with both the distance and the rate
+        # threshold, so this is the largest power any run can ask for.
+        params, reqs = family.params, family.reqs
+        radius = min(params.fov_ground_radius,
+                     family.area_size * math.sqrt(2.0))
         try:
             power = min_power_for_radius(
                 radius, constraint_coefficients(params, reqs), params)
@@ -228,10 +217,14 @@ def _check_power_finite(cfg: RunConfig, name: str,
             power = math.inf
         if not power < math.inf:
             raise ConfigError(
-                f"{name}: rate threshold {rate_threshold!r} bits with "
-                f"illumination threshold {cfg.illum_threshold!r} needs a "
+                f"{source}: rate threshold {reqs.rate_threshold!r} bits with "
+                f"illumination threshold {reqs.illum_threshold!r} needs a "
                 f"transmit power beyond floating-point range at height "
-                f"{height!r} m")
+                f"{params.uav_height!r} m")
+    if cfg.mode in ("single", "fig4") and len(cfg.heights) > 1:
+        raise ConfigError(f"heights: {cfg.mode} mode takes one height, "
+                          f"got {len(cfg.heights)}")
+    return families
 
 
 def workers_from_env() -> int:
@@ -303,18 +296,9 @@ def _write_per_user_csv(path: Path, scenario: Scenario,
         for rep, u in zip(reports, users)))
 
 
-def _scenario_config(cfg: RunConfig, height: float,
-                     rate_threshold: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        area_size=cfg.area_size, grid=cfg.grid, num_users=cfg.users,
-        base_seed=cfg.seed, params=cfg.params_at(height),
-        reqs=Requirements(rate_threshold, cfg.illum_threshold),
-        max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-
-
-def run_single(cfg: RunConfig, out_dir: Path) -> int:
-    scenario = _scenario_config(cfg, cfg.heights[0],
-                                cfg.rate_threshold_bits).scenario()
+def run_single(cfg: RunConfig, families: list[ScenarioConfig],
+               out_dir: Path) -> int:
+    scenario = families[0].scenario()
     record = {"config": _config_record(cfg), "seed": cfg.seed, "schemes": {}}
     status = EXIT_OK
     for scheme in cfg.schemes:
@@ -332,22 +316,22 @@ def run_single(cfg: RunConfig, out_dir: Path) -> int:
     return status
 
 
-def _batches(cfg: RunConfig, rate_thresholds: Sequence[float]
+def _batches(cfg: RunConfig, families: list[ScenarioConfig]
              ) -> Iterator[tuple[float, float, MonteCarloSummary]]:
-    """A Monte Carlo batch per height and rate threshold, heights outermost."""
+    """A Monte Carlo batch per family, with its height and rate threshold."""
     workers = workers_from_env()
-    for height in cfg.heights:
-        for rate_threshold in rate_thresholds:
-            yield height, rate_threshold, run_monte_carlo(
-                _scenario_config(cfg, height, rate_threshold), cfg.runs,
-                schemes=cfg.schemes, workers=workers)
+    for family in families:
+        summary = run_monte_carlo(family, cfg.runs, schemes=cfg.schemes,
+                                  workers=workers)
+        yield family.params.uav_height, family.reqs.rate_threshold, summary
 
 
-def run_montecarlo(cfg: RunConfig, out_dir: Path) -> int:
+def run_montecarlo(cfg: RunConfig, families: list[ScenarioConfig],
+                   out_dir: Path) -> int:
     status = EXIT_OK
     rows = []
     payload = {"config": _config_record(cfg), "heights": {}}
-    for height, _, summary in _batches(cfg, [cfg.rate_threshold_bits]):
+    for height, _, summary in _batches(cfg, families):
         height_record = {"reductions_percent": dict(summary.reductions),
                          "schemes": {}}
         for scheme in cfg.schemes:
@@ -373,20 +357,18 @@ def run_montecarlo(cfg: RunConfig, out_dir: Path) -> int:
 def _sweep_values(sweep: tuple[float, float, float]) -> list[float]:
     lo, hi, step = sweep
     values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-9 * max(1.0, step):
-            break
+    v = lo
+    while v <= hi + 1e-9 * max(1.0, step):
         values.append(v)
-        k += 1
+        v = lo + len(values) * step
     return values
 
 
-def run_sweep(cfg: RunConfig, out_dir: Path) -> int:
+def run_sweep(cfg: RunConfig, families: list[ScenarioConfig],
+              out_dir: Path) -> int:
     status = EXIT_OK
     rows = []
-    for height, cth, summary in _batches(cfg, _sweep_values(cfg.cth_sweep)):
+    for height, cth, summary in _batches(cfg, families):
         for scheme in cfg.schemes:
             st = summary.stats[scheme]
             rows.append(["rate_threshold_bits", _fmt(cth), scheme,
@@ -398,13 +380,14 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> int:
     return status
 
 
-def run_fig4(cfg_case1: RunConfig, cfg_case2: RunConfig, out_dir: Path) -> int:
+def run_fig4(cfg: RunConfig, families: list[ScenarioConfig],
+             out_dir: Path) -> int:
     status = EXIT_OK
-    for label, cfg in (("case1", cfg_case1), ("case2", cfg_case2)):
-        scenario = _scenario_config(cfg, cfg.heights[0],
-                                    cfg.rate_threshold_bits).scenario()
+    for label, family in zip(("case1", "case2"), families):
+        scenario = family.scenario()
         solution = solve_scenario(scenario, "proposed",
-                                  max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+                                  max_iters=family.max_iters,
+                                  rel_tol=family.rel_tol)
         if not solution.feasible:
             print(f"{label}: infeasible")
             status = EXIT_INFEASIBLE
@@ -455,22 +438,27 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             # repeated --height flags arrive as a list: the file's comma list
             setattr(cfg, name, _parse_field(
                 name, ",".join(raw) if isinstance(raw, list) else raw))
-    validate_config(cfg)
     return cfg
 
 
-def _case_config(base: RunConfig, path: Optional[str],
-                 rate_threshold: float, illum_threshold: float) -> RunConfig:
-    cfg = replace(base, heights=list(base.heights), schemes=list(base.schemes))
-    cfg.rate_threshold_bits = rate_threshold
-    cfg.illum_threshold = illum_threshold
+# Keys that fig4 reads once, from the main config, never from a case file.
+_FIG4_MAIN_KEYS = ("mode", "runs", "cth_sweep", "schemes", "out")
+
+
+def _case_config(base: RunConfig, path: Optional[str], rate_threshold: float,
+                 illum_threshold: float) -> ScenarioConfig:
+    cfg = replace(base, rate_threshold_bits=rate_threshold,
+                  illum_threshold=illum_threshold)
     if path:
         apply_config_file(cfg, path)
-        if cfg.mode != base.mode:
-            raise ConfigError(f"mode: a {base.mode} case file cannot set mode "
-                              f"{cfg.mode!r}")
-    validate_config(cfg)
-    return cfg
+        for key in _FIG4_MAIN_KEYS:
+            if getattr(cfg, key) != getattr(base, key):
+                raise ConfigError(f"{key}: a fig4 case file cannot set {key}")
+    return validate_config(cfg)[0]
+
+
+_RUNNERS = {"single": run_single, "montecarlo": run_montecarlo,
+            "sweep": run_sweep, "fig4": run_fig4}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -478,19 +466,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
+        families = validate_config(cfg)
+        if cfg.mode == "fig4":
+            # threshold pairs where rate (case 1) and illumination
+            # (case 2) tend to be the binding constraint, overridable by file
+            families = [_case_config(cfg, args.case1, 1.2, 0.1),
+                        _case_config(cfg, args.case2, 1.8, 0.6)]
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.mode == "single":
-            return run_single(cfg, out_dir)
-        if cfg.mode == "montecarlo":
-            return run_montecarlo(cfg, out_dir)
-        if cfg.mode == "sweep":
-            return run_sweep(cfg, out_dir)
-        # fig4: threshold pairs where rate (case 1) and illumination
-        # (case 2) tend to be the binding constraint, overridable by file
-        case1 = _case_config(cfg, args.case1, 1.2, 0.1)
-        case2 = _case_config(cfg, args.case2, 1.8, 0.6)
-        return run_fig4(case1, case2, out_dir)
+        return _RUNNERS[cfg.mode](cfg, families, out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

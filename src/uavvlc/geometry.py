@@ -58,8 +58,7 @@ class Disk(NamedTuple):
 
     def contains(self, p: Sequence[float]) -> bool:
         """Membership with a tolerance of 1e-10 * max(1, radius)."""
-        slack = _MEMBERSHIP_TOL * max(1.0, self.radius)
-        return math.hypot(p[0] - self.center.x, p[1] - self.center.y) <= self.radius + slack
+        return _covers(self.center.x, self.center.y, self.radius, p)
 
 
 def _covers(cx: float, cy: float, r: float, p: Sequence[float]) -> bool:

@@ -58,15 +58,20 @@ class Scenario:
     reqs: Requirements
 
 
+def _check_layout(area_size: float, num_users: int) -> None:
+    # each comparison is written so that NaN fails it
+    if not 0.0 < area_size < math.inf:
+        raise ValueError("area_size must be finite and > 0")
+    if not num_users >= 1:
+        raise ValueError("num_users must be >= 1")
+
+
 def generate_scenario(seed: int, area_size: float = 10.0,
                       grid: tuple[int, int] = (2, 2), num_users: int = 16,
                       params: Optional[VlcParams] = None,
                       reqs: Optional[Requirements] = None) -> Scenario:
     """Uniform users over a [0, area_size]^2 square with a grid of sub-areas."""
-    if not 0.0 < area_size < math.inf:
-        raise ValueError("area_size must be finite and > 0")
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    _check_layout(area_size, num_users)
     area = Rect(0.0, 0.0, float(area_size), float(area_size))
     rng = random.Random(seed)
     users = tuple(Point2(rng.uniform(0.0, area_size), rng.uniform(0.0, area_size))
@@ -126,7 +131,8 @@ def per_user_report(solution: DeploymentSolution,
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to regenerate a family of scenarios."""
+    """Everything needed to regenerate a family of scenarios; construction
+    rejects a bad area_size, num_users, max_iters or rel_tol."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)
@@ -136,6 +142,13 @@ class ScenarioConfig:
     reqs: Requirements = field(default_factory=default_requirements)
     max_iters: int = 20
     rel_tol: float = 1e-9
+
+    def __post_init__(self):
+        _check_layout(self.area_size, self.num_users)
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be >= 1")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and >= 0")
 
     def scenario(self, run_index: int = 0) -> Scenario:
         """The family's scenario number run_index, seeded base_seed + run_index."""

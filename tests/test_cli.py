@@ -101,6 +101,11 @@ class TestValidateConfig:
         ("rate_threshold_bits", 600.0, "thresholds"),
         ("illum_threshold", 1e303, "thresholds"),
         ("heights", [8.0, 1e100], "thresholds"),
+        # library fields the config spells differently, and ScenarioConfig's
+        ("detector_area_m2", 0.0, "^detector_area_m2: "),
+        ("noise_std_a", -1.0, "^noise_std_a: "),
+        ("users", 0, "^users: "),
+        ("max_iters", 0, "^max_iters: "),
     ])
     def test_rejects_and_names_field(self, field, value, needle):
         cfg = RunConfig()
@@ -431,6 +436,22 @@ class TestMainEntry:
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: mode: "), err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("out", "{tmp}/case_out"), ("schemes", "sa2"), ("runs", "5"),
+        ("cth_sweep", "1.0:2.0:0.5")], ids=["out", "schemes", "runs",
+                                            "cth_sweep"])
+    def test_case_file_cannot_set_main_keys(self, tmp_path, capsys, key,
+                                            value):
+        # fig4 reads these once, from the main config; a case file's
+        # value used to be dropped without a word
+        case = tmp_path / "case.cfg"
+        case.write_text(f"{key} = {value.format(tmp=tmp_path)}\n")
+        out = tmp_path / "out"
+        assert run_cli("--mode", "fig4", "--case2", case, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: a fig4 case file cannot set {key}\n"
+        assert not list(tmp_path.glob("*out/*"))
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

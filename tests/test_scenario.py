@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavvlc
+import uavvlc.scenario
 from uavvlc.channel import Requirements, constraint_coefficients
 from uavvlc.geometry import Rect
 from uavvlc.scenario import (SCHEMES, ScenarioConfig, _mean_std,
@@ -19,6 +21,11 @@ from uavvlc.scenario import (SCHEMES, ScenarioConfig, _mean_std,
 
 RATE_REQ = 2.0
 ILLUM_REQ = 0.1
+
+# One bad value per ScenarioConfig field that construction checks.
+BAD_CONFIG_FIELDS = [("max_iters", 0), ("rel_tol", -1e-9),
+                     ("rel_tol", math.nan), ("num_users", 0),
+                     ("area_size", math.nan)]
 
 
 class TestMakeGrid:
@@ -155,6 +162,21 @@ class TestScenarioConfig:
                 seed=40 + k, area_size=20.0, grid=(3, 2), num_users=9,
                 params=params, reqs=reqs)
         assert config.scenario() == config.scenario(0)
+
+    @pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
+    def test_rejects_bad_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
+    def test_bad_field_never_reaches_a_run(self, monkeypatch, name, value):
+        # replace() rebuilds the config, so the fault surfaces before
+        # run_monte_carlo is entered, not inside one of its runs
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            run_monte_carlo(replace(ScenarioConfig(), **{name: value}), 3)
+        assert runs == []
 
 
 class TestMonteCarlo:
