@@ -8,16 +8,18 @@ minimization is combinatorial, so users are folded in greedily: all K
 disks start at zero radius, and each user joins the disk whose cost grows
 the least, which prices a cell's first user at the full d^(m+3) and makes
 parking many users under one UAV attractive when the per-cell floor
-z_u^(m+3) outweighs the extra radius.
+z_u^(m+3) outweighs the extra radius.  Large, wide layouts scan by cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .channel import InfeasibleError
+from .geometry import _finite_points
 
 
 @dataclass
@@ -73,12 +75,20 @@ def greedy_min_size_clustering(
     every UAV's field of view raises InfeasibleError.  The running total
     after each insertion is the sum of (farthest 3D distance)^e over the
     non-empty cells of the partial assignment, and never decreases.
+
+    Growth is never negative, so a user's scan stops at zero growth.  With
+    16+ UAVs spread wider than 2 * fov_ground_radius on some axis, a user
+    scans only the UAVs its grid cell lists, in index order, which gives a
+    full scan's clusters.  A NaN or infinite coordinate raises ValueError.
     """
     if z_u <= 0.0:
         raise ValueError("z_u must be > 0")
     if not uav_centers:
         raise ValueError("at least one UAV center is required")
-    centers = [(float(c[0]), float(c[1])) for c in uav_centers]
+    centers = _finite_points(uav_centers, "UAV center")
+    points = _finite_points(users, "user")
+    cells = _reach_cells(centers, points, fov_ground_radius)
+    everyone = [(i, cx, cy) for i, (cx, cy) in enumerate(centers)]
 
     z2 = z_u * z_u
     half_exp = 0.5 * exponent
@@ -88,12 +98,14 @@ def greedy_min_size_clustering(
     cost = [0.0] * len(centers)
     clusters: list[list[int]] = [[] for _ in centers]
 
-    for j, u in enumerate(users):
-        ux, uy = float(u[0]), float(u[1])
+    for j, (ux, uy) in enumerate(points):
+        candidates = everyone if cells is None else cells.get(
+            (math.floor(ux / fov_ground_radius),
+             math.floor(uy / fov_ground_radius)), ())
         best_i = -1
         best_growth = math.inf
         best_sq = 0.0
-        for i, (cx, cy) in enumerate(centers):
+        for i, cx, cy in candidates:
             dx = cx - ux
             dy = cy - uy
             r = math.hypot(dx, dy)
@@ -105,6 +117,8 @@ def greedy_min_size_clustering(
                 best_i = i
                 best_growth = growth
                 best_sq = s
+                if growth == 0.0:
+                    break    # growth is never negative: nothing later wins
         if best_i < 0:
             raise InfeasibleError(
                 f"user {j} lies outside every UAV's field of view",
@@ -115,3 +129,24 @@ def greedy_min_size_clustering(
             cost[best_i] = best_sq ** half_exp
     return CellAssociation(clusters)
 
+
+def _reach_cells(centers: list, users: list, radius: float) -> Optional[dict]:
+    # Cells of side r keyed (floor(x / r), floor(y / r)), each listing in
+    # index order every (i, cx, cy) in reach; None where a plain scan is
+    # faster, or where coordinates reach 1e12 cells (the pad spans many).
+    xs = [c[0] for c in centers]
+    ys = [c[1] for c in centers]
+    coords = itertools.chain(xs, ys, itertools.chain.from_iterable(users))
+    if not (len(centers) >= 16
+            and 2.0 * radius < max(max(xs) - min(xs), max(ys) - min(ys))
+            and max(map(abs, coords)) < 1e12 * radius):
+        return None
+    cells: dict[tuple[int, int], list] = {}
+    for i, (cx, cy) in enumerate(centers):
+        # reach in cell units, padded well past key and hypot rounding
+        kx, ky = cx / radius, cy / radius
+        pad = 1.0 + 1e-12 * (1.0 + abs(kx) + abs(ky))
+        for gx in range(math.floor(kx - pad), math.floor(kx + pad) + 1):
+            for gy in range(math.floor(ky - pad), math.floor(ky + pad) + 1):
+                cells.setdefault((gx, gy), []).append((i, cx, cy))
+    return cells

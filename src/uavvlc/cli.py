@@ -92,10 +92,7 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     parts = raw.lower().split("x")
     if len(parts) != 2:
         raise ConfigError(f"grid: expected KXxKY like 2x2, got {raw!r}")
-    gx, gy = (_parse_int("grid", p) for p in parts)
-    if gx < 1 or gy < 1:
-        raise ConfigError("grid: both dimensions must be >= 1")
-    return gx, gy
+    return _parse_int("grid", parts[0]), _parse_int("grid", parts[1])
 
 
 def _parse_heights(raw: str) -> list[float]:

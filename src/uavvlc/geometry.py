@@ -2,11 +2,13 @@
 
 The minimum-radius disk covering a finite point set is unique and is
 determined by at most three of the points on its boundary, and is found
-here by the expected linear-time randomized incremental method.
+here by the expected linear-time randomized incremental method, run on
+the convex hull vertices only, since no point inside the hull fixes it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -61,6 +63,15 @@ class Disk(NamedTuple):
         return _covers(self.center.x, self.center.y, self.radius, p)
 
 
+def _finite_points(points: Iterable[Sequence[float]], name: str) -> list:
+    # float pairs; a NaN or infinite coordinate is an error naming its index
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    for k, (x, y) in enumerate(pts):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{name} {k} has a non-finite coordinate ({x}, {y})")
+    return pts
+
+
 def _covers(cx: float, cy: float, r: float, p: Sequence[float]) -> bool:
     return math.hypot(p[0] - cx, p[1] - cy) <= r + _MEMBERSHIP_TOL * max(1.0, r)
 
@@ -94,16 +105,39 @@ def _circumdisk(
          + (cx * cx + cy * cy) * (ay - by)) / d
     y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
          + (cx * cx + cy * cy) * (bx - ax)) / d
+    # Radius from the rounded center, so that the disk covers its own points
+    # where rounding x + ox exceeds the membership slack (coordinates ~1e8).
+    x, y = x + ox, y + oy
     r = max(
-        math.hypot(x - ax, y - ay),
-        math.hypot(x - bx, y - by),
-        math.hypot(x - cx, y - cy),
+        math.hypot(x - a[0], y - a[1]),
+        math.hypot(x - b[0], y - b[1]),
+        math.hypot(x - c[0], y - c[1]),
     )
-    return x + ox, y + oy, r
+    return x, y, r
 
 
 def _cross(ox: float, oy: float, px: float, py: float, qx: float, qy: float) -> float:
     return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+
+
+@functools.lru_cache(maxsize=32)
+def _shuffle_order(n: int, rng_seed: int) -> tuple[int, ...]:
+    # Random(seed).shuffle's swaps depend only on the length and the seed
+    order = list(range(n))
+    random.Random(rng_seed).shuffle(order)
+    return tuple(order)
+
+
+def _hull_vertices(pts: Sequence[tuple[float, float]]) -> set[tuple[float, float]]:
+    # Andrew's monotone chain; points on a hull edge are not vertices.
+    ordered = sorted(set(pts))
+    chains: list[list[tuple[float, float]]] = [[], []]
+    for chain, seq in zip(chains, (ordered, reversed(ordered))):
+        for p in seq:
+            while len(chain) >= 2 and _cross(*chain[-2], *chain[-1], *p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+    return set(chains[0]) | set(chains[1])
 
 
 def smallest_enclosing_disk(
@@ -117,11 +151,20 @@ def smallest_enclosing_disk(
     final disk over the prefix, which restarts the scan with that point
     pinned; the same argument pins a second point one level down, after
     which the best disk is found by scanning circumcircles.
+
+    Points that are not convex hull vertices are dropped after the shuffle,
+    the rest keeping their order; they never fix the disk, so the floats are
+    the same unless gaps between points are below the 1e-10 * radius slack
+    (a 1 m cluster 1e8 away): then the disk may move by about 5e-9 of its
+    radius, still covering every point.  NaN or infinite coordinates raise.
     """
-    pts = [(float(p[0]), float(p[1])) for p in points]
+    pts = _finite_points(points, "point")
     if not pts:
         raise ValueError("smallest_enclosing_disk requires at least one point")
-    random.Random(rng_seed).shuffle(pts)
+    pts = [pts[k] for k in _shuffle_order(len(pts), rng_seed)]
+    if len(pts) > 3:
+        hull = _hull_vertices(pts)
+        pts = [p for p in pts if p in hull]
 
     disk: Optional[tuple[float, float, float]] = None
     for i, p in enumerate(pts):

@@ -39,8 +39,7 @@ def default_requirements() -> Requirements:
 
 def make_grid(area: Rect, grid_x: int, grid_y: int) -> list[Rect]:
     """Split area into grid_x * grid_y equal rectangles, row-major from y0."""
-    if grid_x < 1 or grid_y < 1:
-        raise ValueError("grid dimensions must be >= 1")
+    _check_grid(grid_x, grid_y)
     dx = area.width / grid_x
     dy = area.height / grid_y
     return [Rect(area.x0 + ix * dx, area.y0 + iy * dy,
@@ -56,6 +55,11 @@ class Scenario:
     seed: int
     params: VlcParams
     reqs: Requirements
+
+
+def _check_grid(grid_x: int, grid_y: int) -> None:
+    if not (grid_x >= 1 and grid_y >= 1):
+        raise ValueError("grid dimensions must be >= 1")
 
 
 def _check_layout(area_size: float, num_users: int) -> None:
@@ -132,7 +136,7 @@ def per_user_report(solution: DeploymentSolution,
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to regenerate a family of scenarios; construction
-    rejects a bad area_size, num_users, max_iters or rel_tol."""
+    rejects a bad area_size, grid, num_users, max_iters or rel_tol."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)
@@ -145,6 +149,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_layout(self.area_size, self.num_users)
+        _check_grid(*self.grid)
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.rel_tol < math.inf:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Iterable, Optional, Sequence
 
 from uavvlc.assignment import CellAssociation, farthest_user
 from uavvlc.channel import (_LN2, _TWO_PI, InfeasibleError, Requirements,
                             VlcParams)
 from uavvlc.geometry import (Disk, Point2, _circumdisk, _covers,
-                             _diameter_disk)
+                             _diameter_disk, _sed_one_boundary)
 
 
 def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
@@ -51,6 +52,63 @@ def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
             best = cand
     assert best is not None
     return Disk(Point2(best[0], best[1]), best[2])
+
+
+def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0) -> Disk:
+    """The randomized incremental disk on every point, interior ones too.
+
+    Shuffles with random.Random(rng_seed) and runs the package's loop
+    with no convex-hull filter and no cached shuffle order.
+    """
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    if not pts:
+        raise ValueError("sed_unfiltered requires at least one point")
+    random.Random(rng_seed).shuffle(pts)
+    disk: Optional[tuple[float, float, float]] = None
+    for i, p in enumerate(pts):
+        if disk is None or not _covers(*disk, p):
+            disk = _sed_one_boundary(pts[: i + 1], p)
+    assert disk is not None
+    return Disk(Point2(disk[0], disk[1]), disk[2])
+
+
+def greedy_reference(uav_centers: Sequence[Sequence[float]],
+                     users: Sequence[Sequence[float]],
+                     exponent: float, z_u: float,
+                     fov_ground_radius: float = math.inf) -> CellAssociation:
+    """Greedy min-size clustering by a plain scan of every UAV per user.
+
+    No early exit and no spatial buckets: each user prices every UAV in
+    index order and joins the first one with the least cost growth.
+    """
+    centers = [(float(c[0]), float(c[1])) for c in uav_centers]
+    z2 = z_u * z_u
+    half_exp = 0.5 * exponent
+    sq_radius = [0.0] * len(centers)
+    cost = [0.0] * len(centers)
+    clusters: list[list[int]] = [[] for _ in centers]
+    for j, u in enumerate(users):
+        ux, uy = float(u[0]), float(u[1])
+        best_i = -1
+        best_growth = math.inf
+        best_sq = 0.0
+        for i, (cx, cy) in enumerate(centers):
+            r = math.hypot(cx - ux, cy - uy)
+            if r > fov_ground_radius:
+                continue
+            s = r * r + z2
+            growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
+            if growth < best_growth:
+                best_i, best_growth, best_sq = i, growth, s
+        if best_i < 0:
+            raise InfeasibleError(
+                f"user {j} lies outside every UAV's field of view",
+                user_index=j)
+        clusters[best_i].append(j)
+        if best_sq > sq_radius[best_i]:
+            sq_radius[best_i] = best_sq
+            cost[best_i] = best_sq ** half_exp
+    return CellAssociation(clusters)
 
 
 def cluster_cost(assignment: CellAssociation,

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cluster_cost, exhaustive_min_size_clustering
-from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
+from oracles import (cluster_cost, exhaustive_min_size_clustering,
+                     greedy_reference)
+from uavvlc.assignment import (CellAssociation, _reach_cells,
+                               greedy_min_size_clustering)
 from uavvlc.channel import InfeasibleError
 
 Z_U = 8.0
@@ -137,6 +139,111 @@ class TestGreedy:
     def test_no_uavs_rejected(self):
         with pytest.raises(ValueError):
             greedy([], [(0.0, 0.0)])
+
+
+def outcome(solver, centers, users, radius):
+    """Clusters, or the index of the first user no UAV reaches."""
+    try:
+        return solver(centers, users, EXPONENT, Z_U, radius).clusters
+    except InfeasibleError as err:
+        return err.user_index
+
+
+class TestGreedyAgainstReference:
+    """Early exit and buckets give the plain scan's clusters exactly."""
+
+    @staticmethod
+    def assert_same(centers, users, radius, bucketed=True):
+        # the bucket path is the one under test unless said otherwise
+        points = [(float(x), float(y)) for x, y in users]
+        assert (_reach_cells(centers, points, radius) is not None) == bucketed
+        assert (outcome(greedy_min_size_clustering, centers, users, radius)
+                == outcome(greedy_reference, centers, users, radius))
+
+    @staticmethod
+    def unreachable_last(rng, users, far):
+        # every fifth instance ends with a user no UAV reaches, so the
+        # infeasible user's index is compared too
+        if rng.random() < 0.2:
+            users.insert(rng.randrange(len(users) + 1), far)
+        return users
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_random_instances(self, offset):
+        rng = random.Random(12)
+        for _ in range(25):
+            radius = rng.uniform(1.0, 10.0)
+            side = rng.uniform(3.0, 10.0) * radius
+            centers = [(rng.uniform(0, side) + offset,
+                        rng.uniform(0, side) - offset)
+                       for _ in range(rng.randint(25, 100))]
+            users = []
+            for _ in range(rng.randint(50, 300)):
+                cx, cy = rng.choice(centers)
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                d = rng.uniform(0.0, radius)
+                users.append((cx + d * math.cos(a), cy + d * math.sin(a)))
+            far = (offset - 2.0 * radius, -offset - 2.0 * radius)
+            self.assert_same(centers, self.unreachable_last(rng, users, far),
+                             radius)
+
+    # 0.3 is not a double, so cell keys near borders round either way
+    @pytest.mark.parametrize("radius", [2.5, 0.3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_users_on_fov_edges_and_cell_borders(self, offset, radius):
+        # centers on cell corners; users one FOV radius away along an axis
+        # (on cell corners too) or slid along a cell border
+        rng = random.Random(4)
+        for _ in range(25):
+            centers = [(radius * rng.randint(0, 8) + offset,
+                        radius * rng.randint(0, 8) + offset)
+                       for _ in range(rng.randint(25, 60))]
+            users = []
+            for cx, cy in rng.choices(centers, k=120):
+                step = rng.choice([-radius, 0.0, radius])
+                slide = rng.uniform(-radius, radius)
+                users.append(rng.choice([(cx + step, cy), (cx, cy + step),
+                                         (cx + slide, cy), (cx, cy + slide)]))
+            far = (offset + 12.0 * radius, offset + 0.5 * radius)
+            self.assert_same(centers, self.unreachable_last(rng, users, far),
+                             radius)
+
+    def test_equidistant_uavs_tie_to_lowest_index(self):
+        radius = 3.0
+        # UAVs 3 to 15 are out of reach; they make the layout wide and large
+        centers = [(2.0, 0.0), (0.0, 0.0), (-2.0, 0.0)]
+        centers += [(20.0 + 7.0 * k, 0.0) for k in range(13)]
+        users = [(0.0, 1.0), (-1.0, 0.5), (1.0, 0.5), (0.0, -1.0)]
+        self.assert_same(centers, users, radius)
+        assert outcome(greedy_min_size_clustering, centers,
+                       [(-1.0, 0.5)], radius)[:3] == [[], [0], []]
+        assert outcome(greedy_min_size_clustering, centers,
+                       [(1.0, 0.0)], radius)[:3] == [[0], [], []]
+
+    def test_small_or_clustered_layouts_keep_the_plain_scan(self):
+        rng = random.Random(6)
+        centers = [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(30)]
+        users = [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(80)]
+        self.assert_same(centers, users, 2.5, bucketed=False)
+        self.assert_same(centers, users, math.inf, bucketed=False)
+        # 15 UAVs spread far wider than 2 * radius still scan them all
+        wide = [(7.0 * k, 0.0) for k in range(15)]
+        self.assert_same(wide, [(7.0 * k + 1.0, 0.5) for k in range(15)],
+                         2.5, bucketed=False)
+
+
+class TestGreedyNonFinite:
+    # a NaN user used to join UAV 0 at zero growth
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_user_rejected_and_named(self, bad):
+        users = [(1.0, 1.0), (2.0, 2.0), (bad, 0.0)]
+        with pytest.raises(ValueError, match="^user 2 has a non-finite"):
+            greedy([(0.0, 0.0), (5.0, 5.0)], users)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_center_rejected_and_named(self, bad):
+        with pytest.raises(ValueError, match="^UAV center 1 has a non-finite"):
+            greedy([(0.0, 0.0), (5.0, bad)], [(1.0, 1.0)])
 
 
 class TestGreedyVersusExhaustive:

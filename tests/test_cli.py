@@ -113,6 +113,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=needle):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("grid", [(0, 2), (3, 0)])
+    def test_rejects_empty_grid(self, grid):
+        with pytest.raises(ConfigError, match="^grid: "):
+            validate_config(RunConfig(grid=grid))
+
     @pytest.mark.parametrize("sweep,illum", [
         ((1.0, 600.0, 599.0), 0.1),   # power at TO overflows
         ((0.0, 2.0, 1.0), 0.0),       # both thresholds 0 at FROM
@@ -189,6 +194,13 @@ class TestBadNumbers:
         path.write_text(text + "\n")
         code = run_cli("--config", path, *args, "--out", tmp_path / "out")
         self.assert_config_error(code, capsys, key)
+
+    def test_empty_grid_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_text("grid = 2x0\n")
+        code = run_cli("--config", path, "--out", tmp_path / "out")
+        self.assert_config_error(code, capsys, "grid")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
     @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))

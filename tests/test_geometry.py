@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sed_bruteforce
-from uavvlc.geometry import Disk, Point2, Rect, smallest_enclosing_disk
+from oracles import sed_bruteforce, sed_unfiltered
+from uavvlc.geometry import (Disk, Point2, Rect, _shuffle_order,
+                             smallest_enclosing_disk)
 
 
 def dist(a, b):
@@ -109,6 +110,70 @@ class TestSmallEnclosingDisk:
         assert abs(d.radius - ref.radius) <= 1e-9 * max(1.0, ref.radius)
         for p in pts:
             assert dist(d.center, p) <= d.radius + 1e-9 * max(1.0, d.radius)
+
+
+def on_circle(rng, n, cx=3.0, cy=-1.0, r=2.0):
+    angles = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+    return [(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles]
+
+
+class TestHullFilter:
+    """The hull-filtered disk equals the unfiltered loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 16, 50, 300, 2000])
+    def test_matches_unfiltered_on_uniform_sets(self, n):
+        rng = random.Random(n)
+        for seed in range(12 if n < 300 else 2):
+            pts = random_points(rng, n)
+            assert smallest_enclosing_disk(pts, seed) == sed_unfiltered(pts, seed)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("kind", ["duplicates", "collinear",
+                                      "co-circular", "uniform"])
+    def test_matches_unfiltered_on_special_sets(self, kind, offset):
+        rng = random.Random(41)
+        for seed in range(40):
+            n = rng.randint(4, 40)
+            if kind == "duplicates":
+                base = random_points(rng, rng.randint(1, 6))
+                pts = [rng.choice(base) for _ in range(n)]
+            elif kind == "collinear":
+                pts = [(t, 0.5 * t - 2.0)
+                       for t in (rng.uniform(-5.0, 5.0) for _ in range(n))]
+            elif kind == "co-circular":
+                pts = on_circle(rng, n)
+            else:
+                pts = random_points(rng, n)
+            pts = [(x + offset, y + offset) for x, y in pts]
+            assert smallest_enclosing_disk(pts, seed) == sed_unfiltered(pts, seed)
+
+    def test_covers_every_point_far_from_the_origin(self):
+        # a circumcircle's radius is taken from its rounded center, so the
+        # disk covers its own points where that rounding exceeds the slack
+        rng = random.Random(9)
+        for seed in range(100):
+            pts = [(x + 1e8, y - 1e8) for x, y in random_points(rng, 6)]
+            d = smallest_enclosing_disk(pts, seed)
+            assert all(d.contains(p) for p in pts)
+            assert d.radius < 10.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789])
+    def test_cached_order_is_the_shuffle(self, seed):
+        for n in range(301):
+            expected = list(range(n))
+            random.Random(seed).shuffle(expected)
+            assert list(_shuffle_order(n, seed)) == expected
+
+
+class TestNonFinite:
+    # a NaN at index 0, axis 0 used to be left out of the disk silently
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index,axis", [(0, 0), (3, 1)])
+    def test_rejected_and_named(self, bad, index, axis):
+        pts = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.0], [0.5, 0.5]]
+        pts[index][axis] = bad
+        with pytest.raises(ValueError, match=f"^point {index} has a non-finite"):
+            smallest_enclosing_disk(pts)
 
 
 class TestBruteforceOracle:

@@ -178,6 +178,16 @@ class TestScenarioConfig:
             run_monte_carlo(replace(ScenarioConfig(), **{name: value}), 3)
         assert runs == []
 
+    @pytest.mark.parametrize("grid", [(0, 2), (2, 0), (-1, 3)])
+    def test_rejects_empty_grid(self, monkeypatch, grid):
+        with pytest.raises(ValueError, match="^grid "):
+            ScenarioConfig(grid=grid)
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        with pytest.raises(ValueError, match="^grid "):
+            run_monte_carlo(replace(ScenarioConfig(), grid=grid), 3)
+        assert runs == []
+
 
 class TestMonteCarlo:
     def test_single_run_matches_direct_solve(self):
