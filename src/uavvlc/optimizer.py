@@ -11,7 +11,9 @@ bounded number of rounds and returns the best state it visited.
 Baselines: sa1 parks UAVs at sub-area centers and pays for the actual
 farthest user of each sub-area; sa2 parks them there and pays for the
 sub-area corner whether or not anyone is present; uavoo keeps the
-geographic association but moves UAVs to SED centers.
+geographic association but moves UAVs to SED centers.  sa1 and uavoo are
+the proposed scheme's first two states ("init" and "locate"), so one
+start serves all three, computed once per Scenario by solve_scenario.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, constraint_coefficients, min_power_for_radius)
-from .geometry import Point2, Rect, smallest_enclosing_disk
+from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
 
 class IterationEntry(NamedTuple):
@@ -46,14 +48,18 @@ class DeploymentSolution:
 
 def nearest_position_association(users: Sequence[Sequence[float]],
                                  positions: Sequence[Sequence[float]]) -> CellAssociation:
-    """Assign each user to the closest position; ties to the lowest index."""
-    clusters: list[list[int]] = [[] for _ in positions]
-    for j, u in enumerate(users):
+    """Assign each user to the closest position; ties to the lowest index.
+    Raises ValueError with no positions or a NaN or infinite coordinate."""
+    if not positions:
+        raise ValueError("at least one UAV position is required")
+    points = _finite_points(positions, "UAV position")
+    clusters: list[list[int]] = [[] for _ in points]
+    for j, (ux, uy) in enumerate(_finite_points(users, "user")):
         best_i = 0
         best_s = math.inf
-        for i, p in enumerate(positions):
-            dx = float(p[0]) - float(u[0])
-            dy = float(p[1]) - float(u[1])
+        for i, (px, py) in enumerate(points):
+            dx = px - ux
+            dy = py - uy
             s = dx * dx + dy * dy
             if s < best_s:
                 best_s = s
@@ -94,6 +100,9 @@ def _price(positions: Sequence[Sequence[float]],
            params: VlcParams) -> tuple[list[float], Optional[tuple[int, int]]]:
     # Per-UAV powers of a fixed deployment (inf for a cell whose farthest
     # user is outside the FOV) and the first such (UAV, user), or None.
+    if len(association.clusters) != len(positions):
+        raise ValueError(f"association has {len(association.clusters)} clusters "
+                         f"for {len(positions)} UAV positions")
     per: list[float] = []
     violation = None
     for i, cluster in enumerate(association.clusters):
@@ -145,6 +154,67 @@ def _fixed_solution(positions: Sequence[Sequence[float]],
         feasible=violation is None)
 
 
+def _relabel(solution: DeploymentSolution, step: str) -> DeploymentSolution:
+    # A copy of a one-state solution that shares no list with it, renamed step.
+    return DeploymentSolution(
+        list(solution.uav_positions),
+        CellAssociation([list(c) for c in solution.association.clusters]),
+        list(solution.per_uav_power), solution.total_power,
+        [IterationEntry(solution.total_power, step)], solution.feasible)
+
+
+def _geographic_fixed(users: Sequence[Sequence[float]], sub_areas: Sequence[Rect],
+                      params: VlcParams, reqs: Requirements) -> DeploymentSolution:
+    # The sa1 deployment, which is also proposed's "init" state.
+    return _fixed_solution([r.center() for r in sub_areas],
+                           geographic_association(users, sub_areas), users,
+                           constraint_coefficients(params, reqs), params, "init")
+
+
+def _relocated(fixed: DeploymentSolution, users: Sequence[Sequence[float]],
+               params: VlcParams, reqs: Requirements) -> DeploymentSolution:
+    # fixed's association with every UAV at its cluster's SED center: the
+    # "locate" state, and for the geographic start the uavoo deployment.
+    positions = locate_uavs(fixed.association, users, fixed.uav_positions)
+    return _fixed_solution(positions, fixed.association, users,
+                           constraint_coefficients(params, reqs), params, "locate")
+
+
+def _descend(users: Sequence[Sequence[float]],
+             start: tuple[DeploymentSolution, DeploymentSolution],
+             params: VlcParams, reqs: Requirements,
+             max_iters: int, rel_tol: float) -> DeploymentSolution:
+    # Greedy rounds from start's "locate" state (left as it is); the best state.
+    if not users:
+        raise ValueError("at least one user is required")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    fixed, best = start[0], _relabel(start[1], "locate")
+    if not best.feasible:
+        return best
+    if fixed.feasible:    # fixed initial placement may violate the FOV
+        best.iterations.insert(0, fixed.iterations[0])
+    coeffs = constraint_coefficients(params, reqs)
+    positions, assoc = best.uav_positions, best.association
+    for _ in range(max_iters):
+        cand_assoc = greedy_min_size_clustering(
+            positions, users, coeffs.exponent, params.uav_height,
+            fov_ground_radius=params.fov_ground_radius)
+        if cand_assoc.clusters == assoc.clusters:
+            break    # association fixed point; relocation would change nothing
+        positions = locate_uavs(cand_assoc, users, positions)
+        assoc = cand_assoc
+        per, total = evaluate_power(positions, assoc, users, coeffs, params)
+        if total < best.total_power:
+            converged = best.total_power - total <= rel_tol * best.total_power
+            best.uav_positions, best.association = list(positions), assoc
+            best.per_uav_power, best.total_power = per, total
+            best.iterations.append(IterationEntry(total, "round"))
+            if converged:
+                break
+    return best
+
+
 def optimize(users: Sequence[Sequence[float]],
              uav_initial_positions: Sequence[Sequence[float]],
              params: VlcParams,
@@ -167,41 +237,13 @@ def optimize(users: Sequence[Sequence[float]],
     leave feasibility: greedy only assigns within the FOV and the SED
     center never increases a cluster's farthest distance.
     """
-    if not users:
-        raise ValueError("at least one user is required")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    coeffs = constraint_coefficients(params, reqs)
-    positions = [Point2(float(p[0]), float(p[1])) for p in uav_initial_positions]
     assoc = (initial_association if initial_association is not None
-             else nearest_position_association(users, positions))
+             else nearest_position_association(users, uav_initial_positions))
     assoc.labels(len(users))    # validate the partition up front
-
-    start = _fixed_solution(positions, assoc, users, coeffs, params, "init")
-    positions = locate_uavs(assoc, users, positions)
-    best = _fixed_solution(positions, assoc, users, coeffs, params, "locate")
-    if not best.feasible:
-        return best
-    if start.feasible:    # fixed initial placement may violate the FOV
-        best.iterations.insert(0, start.iterations[0])
-
-    for _ in range(max_iters):
-        cand_assoc = greedy_min_size_clustering(
-            positions, users, coeffs.exponent, params.uav_height,
-            fov_ground_radius=params.fov_ground_radius)
-        if cand_assoc.clusters == assoc.clusters:
-            break    # association fixed point; relocation would change nothing
-        positions = locate_uavs(cand_assoc, users, positions)
-        assoc = cand_assoc
-        per, total = evaluate_power(positions, assoc, users, coeffs, params)
-        if total < best.total_power:
-            converged = best.total_power - total <= rel_tol * best.total_power
-            best.uav_positions, best.association = list(positions), assoc
-            best.per_uav_power, best.total_power = per, total
-            best.iterations.append(IterationEntry(total, "round"))
-            if converged:
-                break
-    return best
+    fixed = _fixed_solution(uav_initial_positions, assoc, users,
+                            constraint_coefficients(params, reqs), params, "init")
+    return _descend(users, (fixed, _relocated(fixed, users, params, reqs)),
+                    params, reqs, max_iters, rel_tol)
 
 
 def baseline_sa1(users: Sequence[Sequence[float]],
@@ -209,10 +251,7 @@ def baseline_sa1(users: Sequence[Sequence[float]],
                  params: VlcParams,
                  reqs: Requirements) -> DeploymentSolution:
     """Static deployment: UAVs at sub-area centers, pay for the actual farthest user."""
-    positions = [r.center() for r in sub_areas]
-    assoc = geographic_association(users, sub_areas)
-    return _fixed_solution(positions, assoc, users,
-                           constraint_coefficients(params, reqs), params, "sa1")
+    return _relabel(_geographic_fixed(users, sub_areas, params, reqs), "sa1")
 
 
 def baseline_sa2(sub_areas: Sequence[Rect],
@@ -239,8 +278,5 @@ def baseline_uavoo(users: Sequence[Sequence[float]],
                    params: VlcParams,
                    reqs: Requirements) -> DeploymentSolution:
     """Location optimization only: geographic association, SED positions."""
-    centers = [r.center() for r in sub_areas]
-    assoc = geographic_association(users, sub_areas)
-    positions = locate_uavs(assoc, users, centers)
-    return _fixed_solution(positions, assoc, users,
-                           constraint_coefficients(params, reqs), params, "uavoo")
+    fixed = _geographic_fixed(users, sub_areas, params, reqs)
+    return _relabel(_relocated(fixed, users, params, reqs), "uavoo")

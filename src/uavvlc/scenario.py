@@ -10,6 +10,7 @@ seeds ``base_seed + run_index`` and aggregate in run order.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,8 +19,8 @@ from typing import Optional, Sequence
 from .channel import (Requirements, VlcParams, capacity_lower_bound,
                       channel_gain)
 from .geometry import Point2, Rect
-from .optimizer import (DeploymentSolution, baseline_sa1, baseline_sa2,
-                        baseline_uavoo, optimize)
+from .optimizer import (DeploymentSolution, _descend, _geographic_fixed,
+                        _relabel, _relocated, baseline_sa2)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -56,6 +57,13 @@ class Scenario:
     params: VlcParams
     reqs: Requirements
 
+    @functools.cached_property
+    def _shared_start(self) -> tuple[DeploymentSolution, DeploymentSolution]:
+        # sa1's and uavoo's states, where proposed starts; per instance, as
+        # equal scenarios may differ in sign bits (0.0 == -0.0)
+        fixed = _geographic_fixed(self.users, self.sub_areas, self.params, self.reqs)
+        return fixed, _relocated(fixed, self.users, self.params, self.reqs)
+
 
 def _check_grid(grid_x: int, grid_y: int) -> None:
     if not (grid_x >= 1 and grid_y >= 1):
@@ -88,19 +96,20 @@ def generate_scenario(seed: int, area_size: float = 10.0,
 
 def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
                    rel_tol: float = 1e-9) -> DeploymentSolution:
-    """Run one scheme on one scenario."""
-    users, params, reqs = scenario.users, scenario.params, scenario.reqs
-    sub_areas = scenario.sub_areas
+    """Run one scheme on one scenario.
+
+    sa1 and uavoo are proposed's first two states: each scenario computes
+    them once and returns copies, equal to baseline_sa1, baseline_uavoo and
+    optimize(users, centers) to the bit whatever the order of the calls."""
     if scheme == "proposed":
-        centers = [r.center() for r in sub_areas]
-        return optimize(users, centers, params, reqs,
-                        max_iters=max_iters, rel_tol=rel_tol)
+        return _descend(scenario.users, scenario._shared_start, scenario.params,
+                        scenario.reqs, max_iters, rel_tol)
     if scheme == "uavoo":
-        return baseline_uavoo(users, sub_areas, params, reqs)
+        return _relabel(scenario._shared_start[1], "uavoo")
     if scheme == "sa1":
-        return baseline_sa1(users, sub_areas, params, reqs)
+        return _relabel(scenario._shared_start[0], "sa1")
     if scheme == "sa2":
-        return baseline_sa2(sub_areas, params, reqs)
+        return baseline_sa2(scenario.sub_areas, scenario.params, scenario.reqs)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 

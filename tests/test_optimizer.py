@@ -60,6 +60,45 @@ class TestAssociationHelpers:
             assert rect.contains(u)
 
 
+class TestNearestPositionInput:
+    """nearest_position_association also serves geographic_association,
+    optimize's default start and the sa1/uavoo baselines."""
+
+    def test_no_positions_rejected(self):
+        with pytest.raises(ValueError, match="^at least one UAV position is required$"):
+            nearest_position_association([(1.0, 1.0)], [])
+        with pytest.raises(ValueError, match="^at least one UAV position is required$"):
+            optimize([(1.0, 1.0)], [], PARAMS, REQS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_user_named(self, bad):
+        with pytest.raises(ValueError, match="^user 1 has a non-finite coordinate"):
+            nearest_position_association([(1.0, 1.0), (bad, 2.0)], CENTERS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_named(self, bad):
+        positions = [(1.0, 1.0), (2.0, 2.0), (3.0, bad)]
+        with pytest.raises(ValueError,
+                           match="^UAV position 2 has a non-finite coordinate"):
+            nearest_position_association([(1.0, 1.0)], positions)
+
+    def test_nan_user_named_by_every_caller(self):
+        users = [(1.0, 1.0), (math.nan, 2.0)]
+        calls = [lambda: geographic_association(users, SUB_AREAS),
+                 lambda: optimize(users, CENTERS, PARAMS, REQS),
+                 lambda: baseline_sa1(users, SUB_AREAS, PARAMS, REQS),
+                 lambda: baseline_uavoo(users, SUB_AREAS, PARAMS, REQS)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^user 1 has a non-finite coordinate"):
+                call()
+
+    def test_integer_input_gives_the_float_answer(self):
+        users = [(1, 9), (6, 2), (5, 5), (9, 9)]
+        floats = [(float(x), float(y)) for x, y in users]
+        assert (nearest_position_association(users, [(2, 8), (8, 2)])
+                == nearest_position_association(floats, [(2.0, 8.0), (8.0, 2.0)]))
+
+
 class TestLocateUavs:
     def test_single_user_cluster_sits_above_user(self):
         assoc = CellAssociation([[0], []])
@@ -139,6 +178,29 @@ class TestEvaluatePower:
             evaluate_power([(0.0, 0.0)], assoc, users, COEFFS, PARAMS)
         assert err.value.uav_index == 0
         assert err.value.user_index == 1
+
+
+class TestCountMismatch:
+    """_price is the one pricing path, so a deployment whose association and
+    positions disagree on the UAV count is rejected, never priced short."""
+
+    USERS = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    CASES = [([(0.0, 0.0), (5.0, 5.0)], [[0, 1, 2]]),
+             ([(0.0, 0.0)], [[0, 1], [2]])]
+
+    @pytest.mark.parametrize("positions, clusters", CASES)
+    def test_evaluate_power_names_both_counts(self, positions, clusters):
+        message = f"^association has {len(clusters)} clusters for {len(positions)} "
+        with pytest.raises(ValueError, match=message + "UAV positions$"):
+            evaluate_power(positions, CellAssociation(clusters), self.USERS,
+                           COEFFS, PARAMS)
+
+    @pytest.mark.parametrize("positions, clusters", CASES)
+    def test_optimize_names_both_counts(self, positions, clusters):
+        message = f"^association has {len(clusters)} clusters for {len(positions)} "
+        with pytest.raises(ValueError, match=message + "UAV positions$"):
+            optimize(self.USERS, positions, PARAMS, REQS,
+                     initial_association=CellAssociation(clusters))
 
 
 class TestInfeasibleReports:

@@ -1,8 +1,9 @@
+import itertools
 import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 import uavvlc
 import uavvlc.scenario
 from uavvlc.channel import Requirements, constraint_coefficients
-from uavvlc.geometry import Rect
-from uavvlc.scenario import (SCHEMES, ScenarioConfig, _mean_std,
+from uavvlc.geometry import Point2, Rect
+from uavvlc.optimizer import (IterationEntry, baseline_sa1, baseline_sa2,
+                              baseline_uavoo, optimize)
+from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
                              default_params, default_requirements,
                              generate_scenario, make_grid, per_user_report,
                              run_monte_carlo, solve_scenario)
@@ -94,12 +97,104 @@ class TestSolveScenario:
         with pytest.raises(ValueError):
             solve_scenario(sc, "sa3")
 
+    @settings(deadline=None, max_examples=60)
+    @given(users=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+                          min_size=1, max_size=30),
+           grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           height=st.floats(2.0, 12.0))
+    def test_scheme_ordering_property(self, users, grid, height):
+        # proposed <= uavoo <= sa1 <= sa2, an infeasible result counting as inf
+        area = Rect(0.0, 0.0, 10.0, 10.0)
+        scenario = Scenario(area, tuple(make_grid(area, *grid)),
+                            tuple(Point2(x, y) for x, y in users), 0,
+                            default_params(uav_height=height), default_requirements())
+        sols = [solve_scenario(scenario, scheme) for scheme in SCHEMES]
+        for sol in sols:
+            assert sol.feasible == math.isfinite(sol.total_power)
+        totals = [sol.total_power for sol in sols]
+        assert totals == sorted(totals)
+
     def test_all_schemes_feasible_at_default_height(self):
         sc = generate_scenario(seed=1)
         for scheme in SCHEMES:
             sol = solve_scenario(sc, scheme)
             assert sol.feasible
             assert math.isfinite(sol.total_power)
+
+
+def bits(solution):
+    # every position, cluster, power, trace entry and flag; repr tells -0.0
+    # from 0.0 and prints each float exactly
+    return repr(astuple(solution))
+
+
+def vandalize(solution):
+    solution.uav_positions[0] = Point2(-1.0, -1.0)
+    solution.association.clusters[0].append(-1)
+    solution.association.clusters.append([-2])
+    solution.per_uav_power[0] = -1.0
+    solution.iterations.append(IterationEntry(-1.0, "vandal"))
+
+
+class TestSharedStart:
+    """sa1 and uavoo are proposed's first two states, so a Scenario computes
+    them once; sharing them must change no bit of any result."""
+
+    # (seed, height, grid): the paper defaults, 2 m and 3 m, where some sa1
+    # runs are infeasible, and one 3 m UAV, where most uavoo runs are too
+    CASES = ([(seed, 8.0, (2, 2)) for seed in range(14)]
+             + [(seed, height, (2, 2)) for height in (2.0, 3.0) for seed in range(13)]
+             + [(seed, 3.0, (1, 1)) for seed in range(6)])
+
+    @staticmethod
+    def scenario(seed, height, grid):
+        return generate_scenario(seed, grid=grid, params=default_params(uav_height=height))
+
+    @staticmethod
+    def fresh(scenario):
+        users = [(u.x, u.y) for u in scenario.users]
+        sub_areas = list(scenario.sub_areas)
+        centers = [r.center() for r in sub_areas]
+        params, reqs = scenario.params, scenario.reqs
+        return {"proposed": optimize(users, centers, params, reqs),
+                "uavoo": baseline_uavoo(users, sub_areas, params, reqs),
+                "sa1": baseline_sa1(users, sub_areas, params, reqs),
+                "sa2": baseline_sa2(sub_areas, params, reqs)}
+
+    def test_every_order_matches_fresh_solves(self):
+        infeasible = set()
+        for case in self.CASES:
+            expected = {scheme: bits(sol)
+                        for scheme, sol in self.fresh(self.scenario(*case)).items()}
+            for order in itertools.permutations(SCHEMES):
+                scenario = self.scenario(*case)
+                for scheme in order:
+                    sol = solve_scenario(scenario, scheme)
+                    assert bits(sol) == expected[scheme], (case, order)
+                    if not sol.feasible:
+                        infeasible.add(scheme)
+        assert infeasible == set(SCHEMES)
+
+    def test_mutating_a_result_leaves_the_scenario_alone(self):
+        for case in self.CASES:
+            scenario = self.scenario(*case)
+            expected = {scheme: bits(sol) for scheme, sol in self.fresh(scenario).items()}
+            for scheme in SCHEMES:
+                vandalize(solve_scenario(scenario, scheme))
+            for scheme in SCHEMES:
+                assert bits(solve_scenario(scenario, scheme)) == expected[scheme]
+
+    def test_equal_scenarios_keep_their_own_sign_bits(self):
+        # 0.0 == -0.0, so these scenarios are equal and hash alike, but a
+        # lone user's SED center keeps the sign of its coordinate
+        area = Rect(-5.0, -5.0, 5.0, 5.0)
+        a, b = (Scenario(area, (area,), (Point2(x, 1.0),), 0, default_params(),
+                         default_requirements()) for x in (0.0, -0.0))
+        assert a == b and hash(a) == hash(b)
+        for scenario, sign in ((a, 1.0), (b, -1.0)):
+            for scheme in ("uavoo", "proposed"):
+                x = solve_scenario(scenario, scheme).uav_positions[0].x
+                assert math.copysign(1.0, x) == sign
 
 
 class TestPerUserReport:
