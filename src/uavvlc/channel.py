@@ -25,14 +25,29 @@ giving inf for a user outside the field of view.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
-
-import mpmath
 
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
+# 50 digits, no traps: a degenerate result reaches the range checks below
+_DIGITS = decimal.Context(prec=50, traps=[])
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _versine(degrees: float) -> Decimal:
+    """1 - cos of an angle in degrees, by its Taylor series in _DIGITS."""
+    # the series starts at x^2 / 2, so a tiny angle keeps all its digits
+    x2 = (Decimal(degrees) * _PI / 180) ** 2
+    total, term, k = Decimal(0), x2 / 2, 2
+    while total + term != total:
+        total += term
+        term = -term * x2 / ((k + 1) * (k + 2))
+        k += 2
+    return total
 
 
 class InfeasibleError(Exception):
@@ -53,10 +68,11 @@ class VlcParams:
     """Physical-layer parameters of one LED/photodiode link.
 
     Angles are degrees.  The derived constants (Lambertian order, in-FOV
-    concentrator gain, FOV tangent) are computed once at construction from
-    extended-precision trigonometry rounded once to double, so special
-    angles give exact values (m = 1 and g = 3 at 60 degrees).  They cannot
-    be passed in, and ``dataclasses.replace`` recomputes them.
+    concentrator gain, FOV tangent) come from one decimal series for
+    1 - cos and are rounded once to double, so special angles give exact
+    values (m = 1 and g = 3 at 60 degrees).  They cannot be passed in,
+    ``dataclasses.replace`` recomputes them, and a field that puts one
+    beyond the double range (fov_tan is inf at 90 degrees) is rejected.
     """
 
     detector_area: float            # photodiode physical area, m^2
@@ -80,24 +96,33 @@ class VlcParams:
             raise ValueError("tx_semi_angle_deg must be in (0, 90)")
         if not 0.0 < self.fov_semi_angle_deg <= 90.0:
             raise ValueError("fov_semi_angle_deg must be in (0, 90]")
-        with mpmath.mp.workdps(40):
-            phi = mpmath.radians(mpmath.mpf(self.tx_semi_angle_deg))
-            psi = mpmath.radians(mpmath.mpf(self.fov_semi_angle_deg))
-            m = float(-mpmath.log(2) / mpmath.log(mpmath.cos(phi)))
-            sin2_psi = float(mpmath.sin(psi) ** 2)
+        with decimal.localcontext(_DIGITS):
+            vers_psi = _versine(self.fov_semi_angle_deg)
+            sin2_psi = vers_psi * (2 - vers_psi)
+            vers_phi = _versine(self.tx_semi_angle_deg)
+            # enough digits that 1 - vers_phi keeps every digit of vers_phi
+            exact = decimal.Context(prec=50 - vers_phi.adjusted())
+            m = float(-Decimal(2).ln() / exact.subtract(1, vers_phi).ln(exact))
             tan_psi = (math.inf if self.fov_semi_angle_deg >= 90.0
-                       else float(mpmath.tan(psi)))
+                       else float(sin2_psi.sqrt() / (1 - vers_psi)))
+        try:
+            n2 = self.refractive_index ** 2
+        except OverflowError:
+            n2 = math.inf
+        sin2_psi = float(sin2_psi)
+        gain = n2 / sin2_psi if sin2_psi > 0.0 else math.inf
+        for name, value in (("tx_semi_angle_deg", m), ("refractive_index", n2),
+                            ("fov_semi_angle_deg", gain)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)!r} puts a derived "
+                                 f"link constant beyond floating-point range")
         object.__setattr__(self, "lambertian_m", m)
-        object.__setattr__(self, "fov_gain", self.refractive_index ** 2 / sin2_psi)
+        object.__setattr__(self, "fov_gain", gain)
         object.__setattr__(self, "fov_tan", tan_psi)
 
     @classmethod
     def from_degrees(cls, **kwargs) -> "VlcParams":
-        """Same as ``VlcParams(**kwargs)``.
-
-        Kept as an alias because the set-up probe in ``bench/run.py`` calls
-        it by name.
-        """
+        """Same as ``VlcParams(**kwargs)``; bench/run.py calls it by name."""
         return cls(**kwargs)
 
     @property

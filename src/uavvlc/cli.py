@@ -210,7 +210,7 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
         try:
             power = min_power_for_radius(
                 radius, constraint_coefficients(params, reqs), params)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):    # n_const out of range
             power = math.inf
         if not power < math.inf:
             raise ConfigError(

@@ -71,9 +71,9 @@ def _check_grid(grid_x: int, grid_y: int) -> None:
 
 
 def _check_layout(area_size: float, num_users: int) -> None:
-    # each comparison is written so that NaN fails it
-    if not 0.0 < area_size < math.inf:
-        raise ValueError("area_size must be finite and > 0")
+    # NaN fails each comparison; x0 + x1 of a sub-area is <= 2 * area_size
+    if not (0.0 < area_size and 2.0 * area_size < math.inf):
+        raise ValueError("area_size must be > 0 with 2 * area_size finite")
     if not num_users >= 1:
         raise ValueError("num_users must be >= 1")
 

@@ -2,8 +2,9 @@
 
 None of these runs in the package: each one restates a quantity the
 production code folds into a faster or closed form (the randomized
-smallest enclosing disk, the greedy association, the d^(m+3) power law),
-so agreement between the two is the check.
+smallest enclosing disk, the greedy association, the d^(m+3) power law,
+the decimal series behind the link constants), so agreement between the
+two is the check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 import random
 from typing import Iterable, Optional, Sequence
+
+import mpmath
 
 from uavvlc.assignment import CellAssociation, farthest_user
 from uavvlc.channel import (_LN2, _TWO_PI, InfeasibleError, Requirements,
@@ -164,6 +167,23 @@ def lambertian_order(tx_semi_angle: float) -> float:
     if not 0.0 < tx_semi_angle < math.pi / 2.0:
         raise ValueError("tx_semi_angle must be in (0, pi/2) radians")
     return -_LN2 / math.log(math.cos(tx_semi_angle))
+
+
+def link_constants(tx_semi_angle_deg: float, fov_semi_angle_deg: float,
+                   refractive_index: float) -> tuple[float, float, float]:
+    """Lambertian order, concentrator gain and FOV tangent by mpmath.
+
+    40-digit sin, cos, tan and log, each constant rounded once to double:
+    the derivation VlcParams used before its 50-digit decimal series.
+    """
+    with mpmath.mp.workdps(40):
+        phi = mpmath.radians(mpmath.mpf(tx_semi_angle_deg))
+        psi = mpmath.radians(mpmath.mpf(fov_semi_angle_deg))
+        m = float(-mpmath.log(2) / mpmath.log(mpmath.cos(phi)))
+        sin2_psi = float(mpmath.sin(psi) ** 2)
+        tan_psi = (math.inf if fov_semi_angle_deg >= 90.0
+                   else float(mpmath.tan(psi)))
+    return m, refractive_index ** 2 / sin2_psi, tan_psi
 
 
 def concentrator_gain(psi: float, params: VlcParams) -> float:

@@ -1,13 +1,14 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (concentrator_gain, lambertian_order, min_power_illum,
-                     min_power_rate)
+from oracles import (concentrator_gain, lambertian_order, link_constants,
+                     min_power_illum, min_power_rate)
 from uavvlc.channel import (InfeasibleError, Requirements, VlcParams,
                             capacity_lower_bound, channel_gain,
                             constraint_coefficients, min_power_for_radius)
@@ -109,6 +110,53 @@ class TestVlcParams:
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
+            table_params(**{field: value})
+
+
+class TestLinkConstants:
+    """The 50-digit decimal series against 40-digit mpmath, to the bit."""
+
+    @staticmethod
+    def angles():
+        rng = random.Random(2019)
+        return ([k * 0.05 for k in range(1, 1800)]
+                + [rng.uniform(0.0, 90.0) for _ in range(500)]
+                + [10.0 ** -k for k in range(1, 9)])
+
+    def test_matches_mpmath_bit_for_bit(self):
+        for angle in self.angles() + [90.0]:
+            tx = angle if angle < 90.0 else 60.0
+            p = table_params(tx_semi_angle_deg=tx, fov_semi_angle_deg=angle,
+                             refractive_index=1.7)
+            assert (p.lambertian_m, p.fov_gain, p.fov_tan) == \
+                link_constants(tx, angle, 1.7), angle
+
+    def test_tiny_fov_keeps_every_digit(self):
+        # 1 - cos^2 would cancel to 0 here; the series for 1 - cos does not
+        for angle in (1e-12, 1e-30, 1e-100):
+            p = table_params(fov_semi_angle_deg=angle, refractive_index=1e-20)
+            assert (p.fov_gain, p.fov_tan) == \
+                link_constants(60.0, angle, 1e-20)[1:]
+
+    def test_small_tx_angle_has_a_finite_order(self):
+        # 40-digit mpmath rounded cos to 1 below about 1e-18 degrees and
+        # divided by zero; m ~ 2 ln 2 / x^2 is a double down to ~1e-152
+        for angle in (1e-12, 1e-20, 1e-100, 1e-152):
+            m = table_params(tx_semi_angle_deg=angle).lambertian_m
+            assert m == pytest.approx(2.0 * math.log(2.0)
+                                      / math.radians(angle) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tx_semi_angle_deg", 1e-153),     # m overflows
+        ("tx_semi_angle_deg", 5e-324),
+        ("fov_semi_angle_deg", 1e-200),    # sin^2 underflows to 0
+        ("fov_semi_angle_deg", 1e-155),    # n_r^2 / sin^2 overflows
+        ("refractive_index", 1e200),       # n_r^2 overflows
+        ("refractive_index", 1e-320),      # n_r^2 underflows to 0
+    ])
+    def test_out_of_range_constant_names_its_field(self, field, value):
+        pattern = f"^{field} {re.escape(repr(value))} "
+        with pytest.raises(ValueError, match=pattern):
             table_params(**{field: value})
 
 

@@ -1,10 +1,16 @@
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavvlc.cli import (MC_COLUMNS, PER_USER_COLUMNS, SWEEP_COLUMNS,
                         ConfigError, RunConfig, _sweep_values,
@@ -209,6 +215,79 @@ class TestBadNumbers:
         code = run_cli(flag, NUMERIC_KEYS[key].format(bad),
                        "--out", tmp_path / "out")
         self.assert_config_error(code, capsys, key)
+
+
+class TestOutOfRange:
+    """Values that crashed a run with a traceback exit 1 with one line."""
+
+    @pytest.mark.parametrize("text,key", [
+        ("tx_semi_angle_deg = 1e-320", "tx_semi_angle_deg"),
+        ("fov_semi_angle_deg = 1e-200", "fov_semi_angle_deg"),
+        ("refractive_index = 1e200", "refractive_index"),
+        ("refractive_index = 1e-320", "refractive_index"),
+        # the link budget n_const underflows to 0
+        ("heights = 1e-300", "thresholds"),
+        ("illum_factor = 1e-320", "thresholds"),
+        # a sub-area centre overflows
+        ("area_size = 1.7e308", "area_size"),
+        # m is a finite 4.55e43, but the power law overflows
+        ("tx_semi_angle_deg = 1e-20", "thresholds"),
+    ])
+    def test_exits_one(self, tmp_path, capsys, text, key):
+        path = tmp_path / "edge.cfg"
+        path.write_text(text + "\n")
+        code = run_cli("--config", path, "--out", tmp_path / "out")
+        TestBadNumbers.assert_config_error(code, capsys, key)
+        assert not (tmp_path / "out").exists()
+
+    def test_underflowing_budget_names_the_range(self, tmp_path, capsys):
+        path = tmp_path / "edge.cfg"
+        path.write_text("heights = 1e-300\n")
+        assert run_cli("--config", path, "--out", tmp_path / "out") == 1
+        assert "beyond floating-point range" in capsys.readouterr().err
+
+
+# The numeric keys a single-mode run reads, other than users and grid,
+# which the property draws from valid ranges; seed takes any integer and
+# cth_sweep is read in sweep mode only.
+PROPERTY_KEYS = sorted(set(NUMERIC_KEYS)
+                       - {"seed", "users", "grid", "cth_sweep"})
+INTEGER_KEYS = {"runs", "max_iters"}
+# at and past the edges of the double range and of the angle ranges
+EXTREMES = [5e-324, 1e-320, 1e-300, 1e-30, 89.99999999999999, 90.0, 1e200,
+            1.7e308, 0.0, -1.0]
+
+
+def _config_value(key, value):
+    # an integral value of an integer key is written as an integer
+    if key in INTEGER_KEYS and math.isfinite(value) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+class TestAnyConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(users=st.integers(1, 8), grid=st.tuples(st.integers(1, 3),
+                                                   st.integers(1, 3)),
+           values=st.dictionaries(st.sampled_from(PROPERTY_KEYS),
+                                  st.floats() | st.sampled_from(EXTREMES),
+                                  min_size=1, max_size=4))
+    def test_single_mode_exits_cleanly(self, users, grid, values):
+        """main returns 0, 1 or 2 and never raises; 1 comes with exactly
+        one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(
+                f"users = {users}\ngrid = {grid[0]}x{grid[1]}\n"
+                + "".join(f"{key} = {_config_value(key, value)}\n"
+                          for key, value in values.items()))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--config", str(path), "--out", f"{tmp}/out"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestSweepValues:

@@ -273,6 +273,20 @@ class TestScenarioConfig:
             run_monte_carlo(replace(ScenarioConfig(), **{name: value}), 3)
         assert runs == []
 
+    @pytest.mark.parametrize("area_size", [1.7e308, 9e307])
+    def test_rejects_area_whose_centres_overflow(self, area_size):
+        # (x0 + x1) / 2 of a sub-area overflowed to inf mid-run
+        with pytest.raises(ValueError, match="^area_size "):
+            ScenarioConfig(area_size=area_size)
+        with pytest.raises(ValueError, match="^area_size "):
+            generate_scenario(seed=0, area_size=area_size)
+
+    def test_accepts_largest_area_whose_double_is_finite(self):
+        area_size = sys.float_info.max / 2
+        scenario = ScenarioConfig(area_size=area_size, num_users=2).scenario()
+        assert all(math.isfinite(c) for r in scenario.sub_areas
+                   for c in r.center())
+
     @pytest.mark.parametrize("grid", [(0, 2), (2, 0), (-1, 3)])
     def test_rejects_empty_grid(self, monkeypatch, grid):
         with pytest.raises(ValueError, match="^grid "):
@@ -371,6 +385,17 @@ class TestMeanStd:
     def test_package_imports_without_numpy(self):
         code = ("import sys; sys.modules['numpy'] = None; "
                 "import uavvlc, uavvlc.cli")
+        src = str(Path(uavvlc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_package_runs_without_mpmath(self):
+        # mpmath is only the tests' oracle for the link constants
+        code = ("import sys; sys.modules['mpmath'] = None; "
+                "import uavvlc, uavvlc.cli; "
+                "s = uavvlc.generate_scenario(seed=0); "
+                "assert uavvlc.solve_scenario(s, 'proposed').feasible")
         src = str(Path(uavvlc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-c", code], cwd=src,
                                 capture_output=True, text=True)
