@@ -12,9 +12,8 @@ from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, capacity_lower_bound, channel_gain,
                       constraint_coefficients, min_power_for_radius)
 from .geometry import Disk, Point2, Rect, smallest_enclosing_disk
-from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa1,
-                        baseline_sa2, baseline_uavoo, evaluate_power,
-                        geographic_association, locate_uavs,
+from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa2,
+                        evaluate_power, geographic_association, locate_uavs,
                         nearest_position_association, optimize)
 from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
                        SchemeStats, UserReport, default_params,
@@ -29,9 +28,9 @@ __all__ = [
     "capacity_lower_bound", "channel_gain", "constraint_coefficients",
     "min_power_for_radius",
     "Disk", "Point2", "Rect", "smallest_enclosing_disk",
-    "DeploymentSolution", "IterationEntry", "baseline_sa1", "baseline_sa2",
-    "baseline_uavoo", "evaluate_power", "geographic_association",
-    "locate_uavs", "nearest_position_association", "optimize",
+    "DeploymentSolution", "IterationEntry", "baseline_sa2", "evaluate_power",
+    "geographic_association", "locate_uavs", "nearest_position_association",
+    "optimize",
     "SCHEMES", "MonteCarloSummary", "Scenario", "ScenarioConfig",
     "SchemeStats", "UserReport", "default_params", "default_requirements",
     "generate_scenario", "make_grid", "per_user_report", "run_monte_carlo",

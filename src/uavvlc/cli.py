@@ -24,8 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, get_type_hints
 
-from .channel import (Requirements, VlcParams, constraint_coefficients,
-                      min_power_for_radius)
+from .channel import Requirements, VlcParams
 from .optimizer import DeploymentSolution
 from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
                        per_user_report, run_monte_carlo, solve_scenario)
@@ -41,6 +40,7 @@ SWEEP_COLUMNS = ["axis_name", "axis_value", "scheme", "height_m",
                  "mean_total_power_w", "std_total_power_w", "runs"]
 MC_COLUMNS = ["scheme", "height_m", "mean_total_power_w",
               "std_total_power_w", "runs", "infeasible_runs"]
+MAX_SWEEP_POINTS = 10_000    # each cth_sweep point is a batch per height
 
 
 class ConfigError(Exception):
@@ -164,8 +164,8 @@ _CONFIG_KEYS = {"detector_area": "detector_area_m2", "noise_std": "noise_std_a",
 
 def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
     """Check cfg; return the scenario family of every (height, rate
-    threshold) the run solves, heights outermost.  VlcParams, Requirements
-    and ScenarioConfig check their own fields; this adds the CLI's rules."""
+    threshold) the run solves, heights outermost.  The library objects check
+    their own fields and the overflow rule; this adds the CLI's rules."""
     if cfg.mode not in _RUNNERS:
         raise ConfigError(f"mode: unknown mode {cfg.mode!r}")
     # each comparison is written so that NaN fails it
@@ -198,26 +198,6 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
         name, _, rest = str(err).partition(" ")
         key = {**_CONFIG_KEYS, "rate_threshold": source}.get(name, name)
         raise ConfigError(f"{key}: {rest}") from None
-    for family in families:
-        # Reject thresholds whose power at the farthest reachable user
-        # overflows.  Users and UAV positions lie inside the area, so no
-        # priced cell reaches beyond the area diagonal or the FOV ground
-        # radius; power grows with both the distance and the rate
-        # threshold, so this is the largest power any run can ask for.
-        params, reqs = family.params, family.reqs
-        radius = min(params.fov_ground_radius,
-                     family.area_size * math.sqrt(2.0))
-        try:
-            power = min_power_for_radius(
-                radius, constraint_coefficients(params, reqs), params)
-        except (OverflowError, ZeroDivisionError):    # n_const out of range
-            power = math.inf
-        if not power < math.inf:
-            raise ConfigError(
-                f"{source}: rate threshold {reqs.rate_threshold!r} bits with "
-                f"illumination threshold {reqs.illum_threshold!r} needs a "
-                f"transmit power beyond floating-point range at height "
-                f"{params.uav_height!r} m")
     if cfg.mode in ("single", "fig4") and len(cfg.heights) > 1:
         raise ConfigError(f"heights: {cfg.mode} mode takes one height, "
                           f"got {len(cfg.heights)}")
@@ -353,9 +333,14 @@ def run_montecarlo(cfg: RunConfig, families: list[ScenarioConfig],
 
 def _sweep_values(sweep: tuple[float, float, float]) -> list[float]:
     lo, hi, step = sweep
+    top = hi + 1e-9 * max(1.0, step)
+    # counted before listed: FROM + STEP may round back to FROM
+    if lo + step == lo or not (top - lo) / step < MAX_SWEEP_POINTS:
+        raise ConfigError(f"cth_sweep: STEP {step!r} must advance FROM {lo!r} "
+                          f"and give at most {MAX_SWEEP_POINTS} points")
     values = []
     v = lo
-    while v <= hi + 1e-9 * max(1.0, step):
+    while v <= top:
         values.append(v)
         v = lo + len(values) * step
     return values

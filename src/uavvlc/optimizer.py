@@ -12,8 +12,9 @@ Baselines: sa1 parks UAVs at sub-area centers and pays for the actual
 farthest user of each sub-area; sa2 parks them there and pays for the
 sub-area corner whether or not anyone is present; uavoo keeps the
 geographic association but moves UAVs to SED centers.  sa1 and uavoo are
-the proposed scheme's first two states ("init" and "locate"), so one
-start serves all three, computed once per Scenario by solve_scenario.
+the proposed scheme's first two states ("init" and "locate"), built by
+_start, the one start builder that optimize and Scenario both call; a
+Scenario computes them once and solve_scenario is their only route.
 """
 
 from __future__ import annotations
@@ -163,21 +164,16 @@ def _relabel(solution: DeploymentSolution, step: str) -> DeploymentSolution:
         [IterationEntry(solution.total_power, step)], solution.feasible)
 
 
-def _geographic_fixed(users: Sequence[Sequence[float]], sub_areas: Sequence[Rect],
-                      params: VlcParams, reqs: Requirements) -> DeploymentSolution:
-    # The sa1 deployment, which is also proposed's "init" state.
-    return _fixed_solution([r.center() for r in sub_areas],
-                           geographic_association(users, sub_areas), users,
-                           constraint_coefficients(params, reqs), params, "init")
-
-
-def _relocated(fixed: DeploymentSolution, users: Sequence[Sequence[float]],
-               params: VlcParams, reqs: Requirements) -> DeploymentSolution:
-    # fixed's association with every UAV at its cluster's SED center: the
-    # "locate" state, and for the geographic start the uavoo deployment.
-    positions = locate_uavs(fixed.association, users, fixed.uav_positions)
-    return _fixed_solution(positions, fixed.association, users,
-                           constraint_coefficients(params, reqs), params, "locate")
+def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],
+           association: CellAssociation, params: VlcParams, reqs: Requirements
+           ) -> tuple[DeploymentSolution, DeploymentSolution]:
+    # The priced "init" deployment and the "locate" one, with every UAV at
+    # its cluster's SED center: from sub-area centers, sa1 and uavoo.
+    coeffs = constraint_coefficients(params, reqs)
+    fixed = _fixed_solution(positions, association, users, coeffs, params, "init")
+    located = locate_uavs(association, users, fixed.uav_positions)
+    return fixed, _fixed_solution(located, association, users, coeffs, params,
+                                  "locate")
 
 
 def _descend(users: Sequence[Sequence[float]],
@@ -219,13 +215,12 @@ def optimize(users: Sequence[Sequence[float]],
              uav_initial_positions: Sequence[Sequence[float]],
              params: VlcParams,
              reqs: Requirements,
-             initial_association: Optional[CellAssociation] = None,
              max_iters: int = 20,
              rel_tol: float = 1e-9) -> DeploymentSolution:
     """Alternate greedy re-association and SED relocation, keep the best state.
 
-    Starts from the given positions and association (nearest-position by
-    default), applies one location step, then runs full rounds of
+    Starts from the given positions with each user at its nearest one,
+    applies one location step, then runs full rounds of
     (re-associate, relocate), at most max_iters of them.  The greedy pass
     is a heuristic, so a round may raise total power; such rounds still
     advance the working state (they can unlock better associations later)
@@ -235,23 +230,12 @@ def optimize(users: Sequence[Sequence[float]],
     improvement falls below rel_tol, or at the round cap; the best state
     seen is returned.  Once a feasible state is reached the loop cannot
     leave feasibility: greedy only assigns within the FOV and the SED
-    center never increases a cluster's farthest distance.
+    center never increases a cluster's farthest distance.  From sub-area
+    centers this is solve_scenario's "proposed", bit for bit.
     """
-    assoc = (initial_association if initial_association is not None
-             else nearest_position_association(users, uav_initial_positions))
-    assoc.labels(len(users))    # validate the partition up front
-    fixed = _fixed_solution(uav_initial_positions, assoc, users,
-                            constraint_coefficients(params, reqs), params, "init")
-    return _descend(users, (fixed, _relocated(fixed, users, params, reqs)),
-                    params, reqs, max_iters, rel_tol)
-
-
-def baseline_sa1(users: Sequence[Sequence[float]],
-                 sub_areas: Sequence[Rect],
-                 params: VlcParams,
-                 reqs: Requirements) -> DeploymentSolution:
-    """Static deployment: UAVs at sub-area centers, pay for the actual farthest user."""
-    return _relabel(_geographic_fixed(users, sub_areas, params, reqs), "sa1")
+    assoc = nearest_position_association(users, uav_initial_positions)
+    start = _start(users, uav_initial_positions, assoc, params, reqs)
+    return _descend(users, start, params, reqs, max_iters, rel_tol)
 
 
 def baseline_sa2(sub_areas: Sequence[Rect],
@@ -272,11 +256,3 @@ def baseline_sa2(sub_areas: Sequence[Rect],
     return DeploymentSolution(positions, assoc, per, total,
                               [IterationEntry(total, "sa2")], feasible)
 
-
-def baseline_uavoo(users: Sequence[Sequence[float]],
-                   sub_areas: Sequence[Rect],
-                   params: VlcParams,
-                   reqs: Requirements) -> DeploymentSolution:
-    """Location optimization only: geographic association, SED positions."""
-    fixed = _geographic_fixed(users, sub_areas, params, reqs)
-    return _relabel(_relocated(fixed, users, params, reqs), "uavoo")

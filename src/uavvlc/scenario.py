@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .channel import (Requirements, VlcParams, capacity_lower_bound,
-                      channel_gain)
+                      channel_gain, constraint_coefficients,
+                      min_power_for_radius)
 from .geometry import Point2, Rect
-from .optimizer import (DeploymentSolution, _descend, _geographic_fixed,
-                        _relabel, _relocated, baseline_sa2)
+from .optimizer import (DeploymentSolution, _descend, _relabel, _start,
+                        baseline_sa2, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -61,8 +62,9 @@ class Scenario:
     def _shared_start(self) -> tuple[DeploymentSolution, DeploymentSolution]:
         # sa1's and uavoo's states, where proposed starts; per instance, as
         # equal scenarios may differ in sign bits (0.0 == -0.0)
-        fixed = _geographic_fixed(self.users, self.sub_areas, self.params, self.reqs)
-        return fixed, _relocated(fixed, self.users, self.params, self.reqs)
+        return _start(self.users, [r.center() for r in self.sub_areas],
+                      geographic_association(self.users, self.sub_areas),
+                      self.params, self.reqs)
 
 
 def _check_grid(grid_x: int, grid_y: int) -> None:
@@ -70,28 +72,44 @@ def _check_grid(grid_x: int, grid_y: int) -> None:
         raise ValueError("grid dimensions must be >= 1")
 
 
-def _check_layout(area_size: float, num_users: int) -> None:
+def _check_layout(area_size: float, num_users: int, params: VlcParams,
+                  reqs: Requirements) -> None:
     # NaN fails each comparison; x0 + x1 of a sub-area is <= 2 * area_size
     if not (0.0 < area_size and 2.0 * area_size < math.inf):
         raise ValueError("area_size must be > 0 with 2 * area_size finite")
     if not num_users >= 1:
         raise ValueError("num_users must be >= 1")
+    # The largest power any run can ask for: users and UAV positions lie in
+    # the area, so no priced cell reaches past its diagonal or the FOV ground
+    # radius, and power grows with both the distance and the thresholds.
+    radius = min(params.fov_ground_radius, area_size * math.sqrt(2.0))
+    try:
+        power = min_power_for_radius(
+            radius, constraint_coefficients(params, reqs), params)
+    except (OverflowError, ZeroDivisionError):    # n_const out of range
+        power = math.inf
+    if not power < math.inf:
+        raise ValueError(
+            f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
+            f"{reqs.illum_threshold!r} needs a transmit power beyond "
+            f"floating-point range at height {params.uav_height!r} m")
 
 
 def generate_scenario(seed: int, area_size: float = 10.0,
                       grid: tuple[int, int] = (2, 2), num_users: int = 16,
                       params: Optional[VlcParams] = None,
                       reqs: Optional[Requirements] = None) -> Scenario:
-    """Uniform users over a [0, area_size]^2 square with a grid of sub-areas."""
-    _check_layout(area_size, num_users)
+    """Uniform users over a [0, area_size]^2 square with a grid of sub-areas;
+    rejects a layout or thresholds as ScenarioConfig does."""
+    params = params if params is not None else default_params()
+    reqs = reqs if reqs is not None else default_requirements()
+    _check_layout(area_size, num_users, params, reqs)
     area = Rect(0.0, 0.0, float(area_size), float(area_size))
     rng = random.Random(seed)
     users = tuple(Point2(rng.uniform(0.0, area_size), rng.uniform(0.0, area_size))
                   for _ in range(num_users))
     return Scenario(area=area, sub_areas=tuple(make_grid(area, *grid)),
-                    users=users, seed=seed,
-                    params=params if params is not None else default_params(),
-                    reqs=reqs if reqs is not None else default_requirements())
+                    users=users, seed=seed, params=params, reqs=reqs)
 
 
 def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
@@ -99,7 +117,7 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     """Run one scheme on one scenario.
 
     sa1 and uavoo are proposed's first two states: each scenario computes
-    them once and returns copies, equal to baseline_sa1, baseline_uavoo and
+    them once and returns copies, equal to a fresh instance's solve and to
     optimize(users, centers) to the bit whatever the order of the calls."""
     if scheme == "proposed":
         return _descend(scenario.users, scenario._shared_start, scenario.params,
@@ -145,7 +163,8 @@ def per_user_report(solution: DeploymentSolution,
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to regenerate a family of scenarios; construction
-    rejects a bad area_size, grid, num_users, max_iters or rel_tol."""
+    rejects a bad area_size, grid, num_users, max_iters or rel_tol, and
+    thresholds whose power at the farthest reachable user overflows."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)
@@ -157,7 +176,7 @@ class ScenarioConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        _check_layout(self.area_size, self.num_users)
+        _check_layout(self.area_size, self.num_users, self.params, self.reqs)
         _check_grid(*self.grid)
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")

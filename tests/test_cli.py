@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavvlc.cli import (MC_COLUMNS, PER_USER_COLUMNS, SWEEP_COLUMNS,
-                        ConfigError, RunConfig, _sweep_values,
+from uavvlc.cli import (MAX_SWEEP_POINTS, MC_COLUMNS, PER_USER_COLUMNS,
+                        SWEEP_COLUMNS, ConfigError, RunConfig, _sweep_values,
                         apply_config_file, main, validate_config,
                         workers_from_env)
 from uavvlc.scenario import generate_scenario, solve_scenario
@@ -258,6 +258,20 @@ EXTREMES = [5e-324, 1e-320, 1e-300, 1e-30, 89.99999999999999, 90.0, 1e200,
             1.7e308, 0.0, -1.0]
 
 
+# Sweeps whose point list had no end: FROM + STEP rounds to FROM, or the
+# point count is beyond any run.
+ENDLESS_SWEEPS = ["1e200:1e200:2", "0:1:1e-300", "9.5e-153:1.8e134:12"]
+
+
+# Batch runs take runs from the property itself and leave max_iters at its
+# default, so that no example asks for millions of runs or rounds.
+BATCH_KEYS = sorted(set(PROPERTY_KEYS) - {"runs", "max_iters"})
+# FROM:TO:STEP with 1 to 10 points
+SMALL_SWEEPS = st.builds(
+    lambda lo, n, step: f"{lo!r}:{lo + n * step!r}:{step!r}",
+    st.floats(0.0, 4.0), st.integers(0, 9), st.floats(0.05, 1.0))
+
+
 def _config_value(key, value):
     # an integral value of an integer key is written as an integer
     if key in INTEGER_KEYS and math.isfinite(value) and value.is_integer():
@@ -289,6 +303,33 @@ class TestAnyConfig:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["sweep", "montecarlo"]), runs=st.integers(1, 2),
+           users=st.integers(1, 8), grid=st.tuples(st.integers(1, 3),
+                                                   st.integers(1, 3)),
+           sweep=SMALL_SWEEPS | st.sampled_from(ENDLESS_SWEEPS),
+           values=st.dictionaries(st.sampled_from(BATCH_KEYS),
+                                  st.floats() | st.sampled_from(EXTREMES),
+                                  max_size=4))
+    def test_batch_modes_exit_cleanly(self, mode, runs, users, grid, sweep,
+                                      values):
+        """The same in sweep and montecarlo modes, over 1-2 runs and sweeps
+        of at most 10 points or without end."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(
+                f"mode = {mode}\nruns = {runs}\nusers = {users}\n"
+                f"grid = {grid[0]}x{grid[1]}\ncth_sweep = {sweep}\n"
+                + "".join(f"{key} = {_config_value(key, value)}\n"
+                          for key, value in values.items()))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--config", str(path), "--out", f"{tmp}/out"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 class TestSweepValues:
     def test_inclusive_endpoint(self):
@@ -304,6 +345,26 @@ class TestSweepValues:
 
     def test_step_beyond_range(self):
         assert _sweep_values((1.0, 1.5, 2.0)) == [1.0]
+
+    def test_point_bound(self):
+        top = float(MAX_SWEEP_POINTS - 1)
+        assert _sweep_values((0.0, top, 1.0)) == [
+            float(k) for k in range(MAX_SWEEP_POINTS)]
+        with pytest.raises(ConfigError, match="^cth_sweep: "):
+            _sweep_values((0.0, top + 1.0, 1.0))
+
+    @pytest.mark.parametrize("sweep", ENDLESS_SWEEPS)
+    def test_endless_sweep_exits_one(self, tmp_path, sweep):
+        # FROM + STEP == FROM, or ~1e133 and 1e300 points: each of these
+        # ran without end, so a regression times out here
+        result = subprocess.run(
+            [sys.executable, "-m", "uavvlc", "--mode", "sweep", "--cth-sweep",
+             sweep, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cth_sweep: ")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestWorkersEnv:

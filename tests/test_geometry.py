@@ -165,6 +165,42 @@ class TestHullFilter:
             assert list(_shuffle_order(n, seed)) == expected
 
 
+@st.composite
+def awkward_point_sets(draw):
+    # 1-6 base points repeated with duplicates, optionally a run of points
+    # on the segment between two of them, all shifted by up to 1e8
+    coord = st.floats(-10.0, 10.0)
+    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    pts = draw(st.lists(st.sampled_from(base), min_size=1, max_size=20))
+    (ax, ay), (bx, by) = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+    pts += [(ax + t * (bx - ax), ay + t * (by - ay))
+            for t in draw(st.lists(st.floats(0.0, 1.0), max_size=8))]
+    offset = st.sampled_from([0.0, 1e8, -1e8]) | st.floats(-1e8, 1e8)
+    ox, oy = draw(offset), draw(offset)
+    return [(x + ox, y + oy) for x, y in pts]
+
+
+def min_gap(pts):
+    # smallest distance between two distinct points; inf with one point
+    distinct = sorted(set(pts))
+    return min((math.hypot(a[0] - b[0], a[1] - b[1])
+                for i, a in enumerate(distinct) for b in distinct[i + 1:]),
+               default=math.inf)
+
+
+class TestSedProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=awkward_point_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_covers_and_matches_unfiltered(self, pts, seed):
+        """The disk covers every point; it is the unfiltered loop's disk bit
+        for bit unless two points are closer than the membership slack can
+        separate (the sub-slack regime of the hull filter)."""
+        disk = smallest_enclosing_disk(pts, seed)
+        assert all(disk.contains(p) for p in pts)
+        if min_gap(pts) >= 1e-6:
+            assert disk == sed_unfiltered(pts, seed)
+
+
 class TestNonFinite:
     # a NaN at index 0, axis 0 used to be left out of the disk silently
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -10,11 +10,10 @@ from uavvlc.assignment import CellAssociation
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import (baseline_sa1, baseline_sa2, baseline_uavoo,
-                              evaluate_power, geographic_association,
-                              locate_uavs, nearest_position_association,
-                              optimize)
-from uavvlc.scenario import (default_params, default_requirements,
+from uavvlc.optimizer import (baseline_sa2, evaluate_power,
+                              geographic_association, locate_uavs,
+                              nearest_position_association, optimize)
+from uavvlc.scenario import (Scenario, default_params, default_requirements,
                              generate_scenario, make_grid, solve_scenario)
 
 PARAMS = default_params()
@@ -45,6 +44,14 @@ def random_users(seed, n=16):
     return [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
 
 
+def solve_fixed(scheme, users, sub_areas=SUB_AREAS):
+    # sa1 or uavoo on a fresh scenario over these users and sub-areas, the
+    # one route to the baselines that start from the sub-area centers
+    scenario = Scenario(AREA, tuple(sub_areas), tuple(Point2(*u) for u in users),
+                        0, PARAMS, REQS)
+    return solve_scenario(scenario, scheme)
+
+
 class TestAssociationHelpers:
     def test_nearest_position_ties_go_low(self):
         assoc = nearest_position_association([(5.0, 5.0)], CENTERS)
@@ -62,7 +69,7 @@ class TestAssociationHelpers:
 
 class TestNearestPositionInput:
     """nearest_position_association also serves geographic_association,
-    optimize's default start and the sa1/uavoo baselines."""
+    optimize's start and the sa1/uavoo baselines."""
 
     def test_no_positions_rejected(self):
         with pytest.raises(ValueError, match="^at least one UAV position is required$"):
@@ -86,8 +93,8 @@ class TestNearestPositionInput:
         users = [(1.0, 1.0), (math.nan, 2.0)]
         calls = [lambda: geographic_association(users, SUB_AREAS),
                  lambda: optimize(users, CENTERS, PARAMS, REQS),
-                 lambda: baseline_sa1(users, SUB_AREAS, PARAMS, REQS),
-                 lambda: baseline_uavoo(users, SUB_AREAS, PARAMS, REQS)]
+                 lambda: solve_fixed("sa1", users),
+                 lambda: solve_fixed("uavoo", users)]
         for call in calls:
             with pytest.raises(ValueError, match="^user 1 has a non-finite coordinate"):
                 call()
@@ -195,13 +202,6 @@ class TestCountMismatch:
             evaluate_power(positions, CellAssociation(clusters), self.USERS,
                            COEFFS, PARAMS)
 
-    @pytest.mark.parametrize("positions, clusters", CASES)
-    def test_optimize_names_both_counts(self, positions, clusters):
-        message = f"^association has {len(clusters)} clusters for {len(positions)} "
-        with pytest.raises(ValueError, match=message + "UAV positions$"):
-            optimize(self.USERS, positions, PARAMS, REQS,
-                     initial_association=CellAssociation(clusters))
-
 
 class TestInfeasibleReports:
     """An infeasible deployment prices its feasible cells as evaluate_power
@@ -225,7 +225,7 @@ class TestInfeasibleReports:
     def test_sa1(self):
         # the lone user of sub-area 1 sits 20 m out, beyond the 13.86 m FOV
         users = CELL_USERS + [(120.0, 100.0)]
-        sol = baseline_sa1(users, CELL_SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("sa1", users, CELL_SUB_AREAS)
         assert sol.uav_positions[0] == CELL_UAV
         assert sol.per_uav_power[0] == CELL_POWER
         self.assert_report(sol, users, "sa1")
@@ -234,14 +234,14 @@ class TestInfeasibleReports:
         # sub-area 1's users are 30 m apart, so even its SED center is 15 m
         # from each of them
         users = CELL_USERS + [(85.0, 100.0), (115.0, 100.0)]
-        sol = baseline_uavoo(users, CELL_SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("uavoo", users, CELL_SUB_AREAS)
         self.assert_report(sol, users, "uavoo")
 
     def test_optimize_locate_step(self):
+        # the cell users are nearest CELL_UAV, the two far ones (100, 100)
         users = CELL_USERS + [(85.0, 100.0), (115.0, 100.0)]
-        sol = optimize(users, [CELL_UAV, (100.0, 100.0)], PARAMS, REQS,
-                       initial_association=CellAssociation([[0, 1, 2, 3],
-                                                            [4, 5]]))
+        sol = optimize(users, [CELL_UAV, (100.0, 100.0)], PARAMS, REQS)
+        assert sol.association.clusters == [[0, 1, 2, 3], [4, 5]]
         self.assert_report(sol, users, "locate")
 
 
@@ -381,13 +381,13 @@ class TestOptimize:
 class TestBaselines:
     def test_sa1_nadir_users(self):
         users = list(CENTERS)
-        sol = baseline_sa1(users, SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("sa1", users)
         expected = 4.0 * COEFFS.prefactor * 8.0 ** 4
         assert sol.total_power == pytest.approx(expected, rel=1e-12)
 
     def test_sa1_corner_user_distance(self):
         users = [(0.0, 0.0)]    # corner of the first 5x5 sub-area
-        sol = baseline_sa1(users, SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("sa1", users)
         r = 2.5 * math.sqrt(2.0)
         expected = COEFFS.prefactor * (r * r + 64.0) ** 2
         assert sol.per_uav_power[0] == pytest.approx(expected, rel=1e-12)
@@ -414,7 +414,7 @@ class TestBaselines:
 
     def test_uavoo_empty_sub_area(self):
         users = [(1.0, 1.0), (2.0, 2.0)]    # all in the first sub-area
-        sol = baseline_uavoo(users, SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("uavoo", users)
         assert sol.per_uav_power[1:] == [0.0, 0.0, 0.0]
         for i in (1, 2, 3):
             assert sol.uav_positions[i] == CENTERS[i]

@@ -15,8 +15,7 @@ import uavvlc
 import uavvlc.scenario
 from uavvlc.channel import Requirements, constraint_coefficients
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import (IterationEntry, baseline_sa1, baseline_sa2,
-                              baseline_uavoo, optimize)
+from uavvlc.optimizer import IterationEntry, baseline_sa2, optimize
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
                              default_params, default_requirements,
                              generate_scenario, make_grid, per_user_report,
@@ -152,13 +151,15 @@ class TestSharedStart:
 
     @staticmethod
     def fresh(scenario):
+        # sa1 and uavoo each solved first on a new instance, which shares
+        # no cache with scenario; proposed and sa2 from plain lists
         users = [(u.x, u.y) for u in scenario.users]
         sub_areas = list(scenario.sub_areas)
         centers = [r.center() for r in sub_areas]
         params, reqs = scenario.params, scenario.reqs
         return {"proposed": optimize(users, centers, params, reqs),
-                "uavoo": baseline_uavoo(users, sub_areas, params, reqs),
-                "sa1": baseline_sa1(users, sub_areas, params, reqs),
+                "uavoo": solve_scenario(replace(scenario), "uavoo"),
+                "sa1": solve_scenario(replace(scenario), "sa1"),
                 "sa2": baseline_sa2(sub_areas, params, reqs)}
 
     def test_every_order_matches_fresh_solves(self):
@@ -280,6 +281,28 @@ class TestScenarioConfig:
             ScenarioConfig(area_size=area_size)
         with pytest.raises(ValueError, match="^area_size "):
             generate_scenario(seed=0, area_size=area_size)
+
+    @pytest.mark.parametrize("params,reqs", [
+        (default_params(), Requirements(600.0, 0.1)),       # expm1 overflows
+        (default_params(), Requirements(2.0, 1e303)),       # the power is inf
+        (default_params(uav_height=1e100), default_requirements()),
+        (default_params(uav_height=1e-300), default_requirements()),   # n_const 0
+        (default_params(illum_factor=1e-320), default_requirements())],
+        ids=["rate", "illum", "high", "low", "illum_factor"])
+    def test_rejects_thresholds_whose_power_overflows(self, monkeypatch, params,
+                                                     reqs):
+        # a run raised OverflowError or ZeroDivisionError, or priced every
+        # scheme infeasible, where only the CLI checked the power
+        message = "^rate_threshold .* beyond floating-point range"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(params=params, reqs=reqs)
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(seed=0, params=params, reqs=reqs)
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
+        assert runs == []
 
     def test_accepts_largest_area_whose_double_is_finite(self):
         area_size = sys.float_info.max / 2
