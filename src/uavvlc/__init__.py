@@ -18,7 +18,8 @@ from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa2,
 from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
                        SchemeStats, UserReport, default_params,
                        default_requirements, generate_scenario, make_grid,
-                       per_user_report, run_monte_carlo, solve_scenario)
+                       per_user_report, run_monte_carlo,
+                       run_monte_carlo_batches, solve_scenario)
 
 __version__ = "0.1.0"
 
@@ -34,5 +35,5 @@ __all__ = [
     "SCHEMES", "MonteCarloSummary", "Scenario", "ScenarioConfig",
     "SchemeStats", "UserReport", "default_params", "default_requirements",
     "generate_scenario", "make_grid", "per_user_report", "run_monte_carlo",
-    "solve_scenario",
+    "run_monte_carlo_batches", "solve_scenario",
 ]

@@ -216,16 +216,32 @@ def constraint_coefficients(params: VlcParams,
                                   exponent=m + 3.0)
 
 
-def min_power_for_radius(r: float, coeffs: ConstraintCoefficients,
-                         params: VlcParams) -> float:
-    """Minimum power to serve a user at horizontal distance r.
-
-    Returns inf when r falls outside the FOV ground radius, where no power
-    serves the user.
-    """
+def _unit_power(r: float, exponent: float, params: VlcParams) -> float:
+    # (r^2 + z_u^2)^(exponent / 2), the power at a unit prefactor; inf past
+    # the FOV ground radius.  Thresholds reach the power only through the
+    # prefactor, so one geometry priced by _powers serves every threshold.
     if r < 0.0:
         raise ValueError("horizontal distance must be >= 0")
     if r > params.fov_ground_radius:
         return math.inf
     z = params.uav_height
-    return coeffs.prefactor * (r * r + z * z) ** (0.5 * coeffs.exponent)
+    return (r * r + z * z) ** (0.5 * exponent)
+
+
+def _powers(prefactor: float, units: list[float]) -> list[float]:
+    # prefactor * unit for each unit, but a user past the FOV (unit inf)
+    # stays unserved and an empty cell (unit 0) draws nothing at any
+    # prefactor: 0 * inf is NaN
+    return [prefactor * unit if 0.0 < unit < math.inf else unit
+            for unit in units]
+
+
+def min_power_for_radius(r: float, coeffs: ConstraintCoefficients,
+                         params: VlcParams) -> float:
+    """Minimum power to serve a user at horizontal distance r.
+
+    Returns inf when r falls outside the FOV ground radius, where no power
+    serves the user, whatever the prefactor.
+    """
+    unit = _unit_power(r, coeffs.exponent, params)
+    return unit if unit == math.inf else coeffs.prefactor * unit

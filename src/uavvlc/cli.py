@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence, get_type_hints
 from .channel import Requirements, VlcParams
 from .optimizer import DeploymentSolution
 from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
-                       per_user_report, run_monte_carlo, solve_scenario)
+                       per_user_report, run_monte_carlo_batches, solve_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -296,10 +296,9 @@ def run_single(cfg: RunConfig, families: list[ScenarioConfig],
 def _batches(cfg: RunConfig, families: list[ScenarioConfig]
              ) -> Iterator[tuple[float, float, MonteCarloSummary]]:
     """A Monte Carlo batch per family, with its height and rate threshold."""
-    workers = workers_from_env()
-    for family in families:
-        summary = run_monte_carlo(family, cfg.runs, schemes=cfg.schemes,
-                                  workers=workers)
+    summaries = run_monte_carlo_batches(families, cfg.runs, schemes=cfg.schemes,
+                                        workers=workers_from_env())
+    for family, summary in zip(families, summaries):
         yield family.params.uav_height, family.reqs.rate_threshold, summary
 
 

@@ -8,6 +8,11 @@ so the SED center is the unique power-minimizing position for a given
 cluster; the greedy pass carries no such guarantee, so the loop runs a
 bounded number of rounds and returns the best state it visited.
 
+The thresholds enter only through that prefactor: neither step reads
+them.  So the start and the rounds are computed as unit powers, one
+geometry per scenario, and each Requirements prices it last; a rate
+sweep walks the rounds once for all its rates.
+
 Baselines: sa1 parks UAVs at sub-area centers and pays for the actual
 farthest user of each sub-area; sa2 parks them there and pays for the
 sub-area corner whether or not anyone is present; uavoo keeps the
@@ -26,7 +31,8 @@ from typing import NamedTuple, Optional, Sequence
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
-                      VlcParams, constraint_coefficients, min_power_for_radius)
+                      VlcParams, _powers, _unit_power, constraint_coefficients,
+                      min_power_for_radius)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
 
@@ -94,28 +100,51 @@ def locate_uavs(association: CellAssociation,
     return positions
 
 
-def _price(positions: Sequence[Sequence[float]],
+class _Layout(NamedTuple):
+    # A deployment before any threshold: each cell's unit power (0 when
+    # empty, inf past the FOV) and the first out-of-FOV (UAV, user), or None.
+    positions: list[Point2]
+    association: CellAssociation
+    units: list[float]
+    violation: Optional[tuple[int, int]]
+
+
+def _units(positions: Sequence[Sequence[float]],
            association: CellAssociation,
            users: Sequence[Sequence[float]],
-           coeffs: ConstraintCoefficients,
-           params: VlcParams) -> tuple[list[float], Optional[tuple[int, int]]]:
-    # Per-UAV powers of a fixed deployment (inf for a cell whose farthest
-    # user is outside the FOV) and the first such (UAV, user), or None.
+           exponent: float, params: VlcParams
+           ) -> tuple[list[float], Optional[tuple[int, int]]]:
+    # Per-UAV unit powers of a fixed deployment, each cell paying for its
+    # farthest user, and the first (UAV, user) outside the FOV, or None.
     if len(association.clusters) != len(positions):
         raise ValueError(f"association has {len(association.clusters)} clusters "
                          f"for {len(positions)} UAV positions")
-    per: list[float] = []
+    units: list[float] = []
     violation = None
     for i, cluster in enumerate(association.clusters):
         if not cluster:
-            per.append(0.0)
+            units.append(0.0)
             continue
         s_max, j_max = farthest_user(positions[i], cluster, users)
-        power = min_power_for_radius(math.sqrt(s_max), coeffs, params)
-        if power == math.inf and violation is None:
+        unit = _unit_power(math.sqrt(s_max), exponent, params)
+        if unit == math.inf and violation is None:
             violation = (i, j_max)
-        per.append(power)
-    return per, violation
+        units.append(unit)
+    return units, violation
+
+
+def _feasible_units(positions: Sequence[Sequence[float]],
+                    association: CellAssociation,
+                    users: Sequence[Sequence[float]],
+                    exponent: float, params: VlcParams) -> list[float]:
+    # _units, raising InfeasibleError for a user outside its UAV's FOV
+    units, violation = _units(positions, association, users, exponent, params)
+    if violation is not None:
+        i, j = violation
+        raise InfeasibleError(
+            f"user {j} is outside the field of view of UAV {i}",
+            uav_index=i, user_index=j)
+    return units
 
 
 def evaluate_power(positions: Sequence[Sequence[float]],
@@ -127,88 +156,97 @@ def evaluate_power(positions: Sequence[Sequence[float]],
 
     Each non-empty cell pays for its farthest user; empty cells draw zero.
     Raises InfeasibleError naming the UAV and user when someone sits
-    outside their serving UAV's field of view.
+    outside their serving UAV's field of view, whatever the prefactor.
     """
-    per, violation = _price(positions, association, users, coeffs, params)
-    if violation is not None:
-        i, j = violation
-        raise InfeasibleError(
-            f"user {j} is outside the field of view of UAV {i}",
-            uav_index=i, user_index=j)
+    per = _powers(coeffs.prefactor, _feasible_units(
+        positions, association, users, coeffs.exponent, params))
     return per, math.fsum(per)
 
 
-def _fixed_solution(positions: Sequence[Sequence[float]],
-                    association: CellAssociation,
-                    users: Sequence[Sequence[float]],
-                    coeffs: ConstraintCoefficients,
-                    params: VlcParams, step: str) -> DeploymentSolution:
-    # One priced deployment with a one-entry trace; infeasible ones total inf.
-    per, violation = _price(positions, association, users, coeffs, params)
-    total = math.fsum(per) if violation is None else math.inf
+def _priced(layout: _Layout, prefactor: float, step: str) -> DeploymentSolution:
+    # The layout at one prefactor, sharing no list with it, with a one-entry
+    # trace; an infeasible one totals inf.
+    per = _powers(prefactor, layout.units)
+    feasible = layout.violation is None
+    total = math.fsum(per) if feasible else math.inf
     return DeploymentSolution(
-        uav_positions=[Point2(float(p[0]), float(p[1])) for p in positions],
-        association=association,
-        per_uav_power=per,
-        total_power=total,
-        iterations=[IterationEntry(total, step)],
-        feasible=violation is None)
+        list(layout.positions),
+        CellAssociation([list(c) for c in layout.association.clusters]),
+        per, total, [IterationEntry(total, step)], feasible)
 
 
-def _relabel(solution: DeploymentSolution, step: str) -> DeploymentSolution:
-    # A copy of a one-state solution that shares no list with it, renamed step.
-    return DeploymentSolution(
-        list(solution.uav_positions),
-        CellAssociation([list(c) for c in solution.association.clusters]),
-        list(solution.per_uav_power), solution.total_power,
-        [IterationEntry(solution.total_power, step)], solution.feasible)
+def _exponent(params: VlcParams) -> float:
+    # the d^(m+3) exponent, as constraint_coefficients gives it
+    return params.lambertian_m + 3.0
 
 
 def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],
-           association: CellAssociation, params: VlcParams, reqs: Requirements
-           ) -> tuple[DeploymentSolution, DeploymentSolution]:
-    # The priced "init" deployment and the "locate" one, with every UAV at
-    # its cluster's SED center: from sub-area centers, sa1 and uavoo.
-    coeffs = constraint_coefficients(params, reqs)
-    fixed = _fixed_solution(positions, association, users, coeffs, params, "init")
-    located = locate_uavs(association, users, fixed.uav_positions)
-    return fixed, _fixed_solution(located, association, users, coeffs, params,
-                                  "locate")
+           association: CellAssociation, params: VlcParams
+           ) -> tuple[_Layout, _Layout]:
+    # The "init" layout and the "locate" one, with every UAV at its cluster's
+    # SED center: from sub-area centers, sa1's and uavoo's at any thresholds.
+    exponent = _exponent(params)
+    fixed = [Point2(float(p[0]), float(p[1])) for p in positions]
+    init = _Layout(fixed, association,
+                   *_units(fixed, association, users, exponent, params))
+    located = locate_uavs(association, users, fixed)
+    return init, _Layout(located, association,
+                         *_units(located, association, users, exponent, params))
 
 
-def _descend(users: Sequence[Sequence[float]],
-             start: tuple[DeploymentSolution, DeploymentSolution],
-             params: VlcParams, reqs: Requirements,
-             max_iters: int, rel_tol: float) -> DeploymentSolution:
-    # Greedy rounds from start's "locate" state (left as it is); the best state.
+def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
+             params: VlcParams, reqs: Sequence[Requirements],
+             max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
+    # Greedy rounds from start's "locate" layout; the best state per reqs.
+    # The rounds read no threshold, so every reqs walks one shared sequence
+    # and keeps its own best state and rel_tol stop: its own solve, bit for bit.
     if not users:
         raise ValueError("at least one user is required")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    fixed, best = start[0], _relabel(start[1], "locate")
-    if not best.feasible:
-        return best
-    if fixed.feasible:    # fixed initial placement may violate the FOV
-        best.iterations.insert(0, fixed.iterations[0])
-    coeffs = constraint_coefficients(params, reqs)
-    positions, assoc = best.uav_positions, best.association
+    fixed, located = start
+    prefactors = [constraint_coefficients(params, r).prefactor for r in reqs]
+    bests = [_priced(located, p, "locate") for p in prefactors]
+    if located.violation is not None:
+        return bests
+    if fixed.violation is None:    # fixed initial placement may violate the FOV
+        for best, p in zip(bests, prefactors):
+            best.iterations.insert(0, IterationEntry(
+                math.fsum(_powers(p, fixed.units)), "init"))
+    exponent = _exponent(params)
+    live = list(zip(prefactors, bests))    # (prefactor, best) still descending
+    positions, assoc = located.positions, located.association
+    seen = set()
     for _ in range(max_iters):
+        # a round's input fixes every round after it, and bests only fall
+        key = tuple(positions)
+        if not live or key in seen:
+            break
+        seen.add(key)
         cand_assoc = greedy_min_size_clustering(
-            positions, users, coeffs.exponent, params.uav_height,
+            positions, users, exponent, params.uav_height,
             fov_ground_radius=params.fov_ground_radius)
         if cand_assoc.clusters == assoc.clusters:
             break    # association fixed point; relocation would change nothing
         positions = locate_uavs(cand_assoc, users, positions)
         assoc = cand_assoc
-        per, total = evaluate_power(positions, assoc, users, coeffs, params)
-        if total < best.total_power:
-            converged = best.total_power - total <= rel_tol * best.total_power
-            best.uav_positions, best.association = list(positions), assoc
-            best.per_uav_power, best.total_power = per, total
-            best.iterations.append(IterationEntry(total, "round"))
-            if converged:
-                break
-    return best
+        units = _feasible_units(positions, assoc, users, exponent, params)
+        still = []
+        for p, best in live:
+            per = _powers(p, units)
+            total = math.fsum(per)
+            if total < best.total_power:
+                converged = best.total_power - total <= rel_tol * best.total_power
+                best.uav_positions = list(positions)
+                best.association = CellAssociation(
+                    [list(c) for c in assoc.clusters])
+                best.per_uav_power, best.total_power = per, total
+                best.iterations.append(IterationEntry(total, "round"))
+                if converged:
+                    continue
+            still.append((p, best))
+        live = still
+    return bests
 
 
 def optimize(users: Sequence[Sequence[float]],
@@ -226,7 +264,8 @@ def optimize(users: Sequence[Sequence[float]],
     advance the working state (they can unlock better associations later)
     but only rounds that improve on the best power so far are recorded in
     the trace, which is therefore strictly decreasing after the "locate"
-    entry.  The loop stops at an association fixed point, when an
+    entry.  The loop stops at an association fixed point, when a round's
+    positions repeat an earlier round's (the rounds would cycle), when an
     improvement falls below rel_tol, or at the round cap; the best state
     seen is returned.  Once a feasible state is reached the loop cannot
     leave feasibility: greedy only assigns within the FOV and the SED
@@ -234,8 +273,8 @@ def optimize(users: Sequence[Sequence[float]],
     centers this is solve_scenario's "proposed", bit for bit.
     """
     assoc = nearest_position_association(users, uav_initial_positions)
-    start = _start(users, uav_initial_positions, assoc, params, reqs)
-    return _descend(users, start, params, reqs, max_iters, rel_tol)
+    start = _start(users, uav_initial_positions, assoc, params)
+    return _descend(users, start, params, [reqs], max_iters, rel_tol)[0]
 
 
 def baseline_sa2(sub_areas: Sequence[Rect],

@@ -10,17 +10,18 @@ seeds ``base_seed + run_index`` and aggregate in run order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .channel import (Requirements, VlcParams, capacity_lower_bound,
                       channel_gain, constraint_coefficients,
                       min_power_for_radius)
 from .geometry import Point2, Rect
-from .optimizer import (DeploymentSolution, _descend, _relabel, _start,
+from .optimizer import (DeploymentSolution, _descend, _Layout, _priced, _start,
                         baseline_sa2, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
@@ -59,12 +60,12 @@ class Scenario:
     reqs: Requirements
 
     @functools.cached_property
-    def _shared_start(self) -> tuple[DeploymentSolution, DeploymentSolution]:
-        # sa1's and uavoo's states, where proposed starts; per instance, as
-        # equal scenarios may differ in sign bits (0.0 == -0.0)
+    def _shared_start(self) -> tuple[_Layout, _Layout]:
+        # sa1's and uavoo's layouts, where proposed starts, at any thresholds;
+        # per instance, as equal scenarios may differ in sign bits (0.0 == -0.0)
         return _start(self.users, [r.center() for r in self.sub_areas],
                       geographic_association(self.users, self.sub_areas),
-                      self.params, self.reqs)
+                      self.params)
 
 
 def _check_grid(grid_x: int, grid_y: int) -> None:
@@ -119,15 +120,23 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     sa1 and uavoo are proposed's first two states: each scenario computes
     them once and returns copies, equal to a fresh instance's solve and to
     optimize(users, centers) to the bit whatever the order of the calls."""
+    return _solve(scenario, scheme, [scenario.reqs], max_iters, rel_tol)[0]
+
+
+def _solve(scenario: Scenario, scheme: str, reqs: Sequence[Requirements],
+           max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
+    # The scheme's solution at each of reqs (the scenario's own is not read),
+    # from one geometry: thresholds enter only through each prefactor.
     if scheme == "proposed":
         return _descend(scenario.users, scenario._shared_start, scenario.params,
-                        scenario.reqs, max_iters, rel_tol)
-    if scheme == "uavoo":
-        return _relabel(scenario._shared_start[1], "uavoo")
-    if scheme == "sa1":
-        return _relabel(scenario._shared_start[0], "sa1")
+                        reqs, max_iters, rel_tol)
+    if scheme in ("uavoo", "sa1"):
+        layout = scenario._shared_start[scheme == "uavoo"]
+        return [_priced(layout,
+                        constraint_coefficients(scenario.params, r).prefactor,
+                        scheme) for r in reqs]
     if scheme == "sa2":
-        return baseline_sa2(scenario.sub_areas, scenario.params, scenario.reqs)
+        return [baseline_sa2(scenario.sub_areas, scenario.params, r) for r in reqs]
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
@@ -208,15 +217,19 @@ class MonteCarloSummary:
     reductions: dict[str, float]    # % mean power saved by proposed vs baseline
 
 
-def _run_one(args) -> dict[str, tuple[float, bool]]:
-    config, run_index, schemes = args
-    scenario = config.scenario(run_index)
-    out = {}
-    for scheme in schemes:
-        sol = solve_scenario(scenario, scheme,
-                             max_iters=config.max_iters, rel_tol=config.rel_tol)
-        out[scheme] = (sol.total_power, sol.feasible)
-    return out
+def _run_group(args) -> list[tuple[Optional[float], ...]]:
+    # One seeded run of configs that differ only in reqs: per config, each
+    # scheme's total power, or None where infeasible.  The run's geometry is
+    # solved once for all of them.  Tuples keep the per-run results small.
+    configs, run_index, schemes = args
+    first = configs[0]
+    scenario = first.scenario(run_index)
+    reqs = [config.reqs for config in configs]
+    per_scheme = [[sol.total_power if sol.feasible else None
+                   for sol in _solve(scenario, scheme, reqs, first.max_iters,
+                                     first.rel_tol)]
+                  for scheme in schemes]
+    return list(zip(*per_scheme))
 
 
 def _pairwise_sum(xs: Sequence[float]) -> float:
@@ -267,25 +280,57 @@ def run_monte_carlo(config: ScenarioConfig, num_runs: int,
     Means and standard deviations cover feasible runs only; infeasible
     runs are counted per scheme, never silently dropped.  Results are
     identical for any worker count because runs are aggregated in seed
-    order.
+    order.  The one-config case of run_monte_carlo_batches.
+    """
+    return run_monte_carlo_batches([config], num_runs, schemes, workers)[0]
+
+
+def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
+                            schemes: Sequence[str] = SCHEMES,
+                            workers: int = 1) -> list[MonteCarloSummary]:
+    """run_monte_carlo for each config, in order, from one worker pool.
+
+    Configs equal but for reqs draw the same scenarios, and the thresholds
+    enter a solve only through the power prefactor, so each run of such a
+    group solves its geometry once and prices every reqs from it.  Each
+    summary equals run_monte_carlo(config, ...) bit for bit.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    jobs = [(config, k, tuple(schemes)) for k in range(num_runs)]
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=32))
-    else:
-        results = [_run_one(job) for job in jobs]
+    schemes = tuple(schemes)
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        key = tuple(getattr(config, f.name) for f in fields(config)
+                    if f.name != "reqs")
+        groups.setdefault(key, []).append(index)
+    summaries: list[MonteCarloSummary] = [None] * len(configs)
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if workers > 1:
+            # imported here: it pulls in multiprocessing, which serial runs never use
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            run_all = functools.partial(pool.map, chunksize=32)
+        # one group at a time, so only one group's per-run results are held
+        for members in groups.values():
+            group = tuple(configs[i] for i in members)
+            results = list(run_all(_run_group,
+                                   [(group, k, schemes) for k in range(num_runs)]))
+            for position, index in enumerate(members):
+                summaries[index] = _summarize(
+                    configs[index], num_runs, schemes,
+                    [result[position] for result in results])
+    return summaries
 
+
+def _summarize(config: ScenarioConfig, num_runs: int, schemes: tuple[str, ...],
+               results: list[tuple[Optional[float], ...]]) -> MonteCarloSummary:
     stats: dict[str, SchemeStats] = {}
-    for scheme in schemes:
-        totals = [res[scheme][0] for res in results if res[scheme][1]]
+    for column, scheme in enumerate(schemes):
+        totals = [res[column] for res in results if res[column] is not None]
         infeasible = num_runs - len(totals)
         if totals:
             mean, std = _mean_std(totals)
@@ -301,5 +346,5 @@ def run_monte_carlo(config: ScenarioConfig, num_runs: int,
                     and stats[scheme].mean > 0.0:
                 reductions[scheme] = 100.0 * (1.0 - p_mean / stats[scheme].mean)
     return MonteCarloSummary(config=config, num_runs=num_runs,
-                             schemes=tuple(schemes), stats=stats,
+                             schemes=schemes, stats=stats,
                              reductions=reductions)

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavvlc.optimizer
 from uavvlc.cli import (MAX_SWEEP_POINTS, MC_COLUMNS, PER_USER_COLUMNS,
                         SWEEP_COLUMNS, ConfigError, RunConfig, _sweep_values,
                         apply_config_file, main, validate_config,
                         workers_from_env)
-from uavvlc.scenario import generate_scenario, solve_scenario
+from uavvlc.scenario import generate_scenario, run_monte_carlo, solve_scenario
 
 
 def run_cli(*args):
@@ -263,9 +264,9 @@ EXTREMES = [5e-324, 1e-320, 1e-300, 1e-30, 89.99999999999999, 90.0, 1e200,
 ENDLESS_SWEEPS = ["1e200:1e200:2", "0:1:1e-300", "9.5e-153:1.8e134:12"]
 
 
-# Batch runs take runs from the property itself and leave max_iters at its
-# default, so that no example asks for millions of runs or rounds.
-BATCH_KEYS = sorted(set(PROPERTY_KEYS) - {"runs", "max_iters"})
+# Batch runs take runs from the property itself, so that no example asks
+# for millions of runs; a huge max_iters ends where the rounds repeat.
+BATCH_KEYS = sorted(set(PROPERTY_KEYS) - {"runs"})
 # FROM:TO:STEP with 1 to 10 points
 SMALL_SWEEPS = st.builds(
     lambda lo, n, step: f"{lo!r}:{lo + n * step!r}:{step!r}",
@@ -512,6 +513,95 @@ class TestSweepMode:
                       for cth in ("1.0", "1.5", "2.0")]
             for r in ratios[1:]:
                 assert r == pytest.approx(ratios[0], rel=1e-9)
+
+
+class TestSharedGeometry:
+    """Families that differ only in the rate threshold share each run's
+    geometry, and one worker pool serves the whole command."""
+
+    SWEEP = ["--mode", "sweep", "--runs", 3, "--height", 2, "--height", 3,
+             "--cth-sweep", "1.0:3.0:0.5"]
+
+    @pytest.mark.parametrize("threads,pools", [("2", 1), ("1", 0)])
+    def test_one_pool_per_command(self, monkeypatch, tmp_path, threads, pools):
+        import concurrent.futures
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setenv("UAVVLC_THREADS", threads)
+        # sa2 is infeasible at 2 m
+        assert run_cli(*self.SWEEP, "--out", tmp_path / "out") == 2
+        assert len(started) == pools
+
+    @pytest.mark.parametrize("mode", ["sweep", "montecarlo"])
+    def test_repeated_height_rows_match_a_batch_per_family(self, tmp_path,
+                                                           mode):
+        out = tmp_path / "out"
+        args = ["--mode", mode, "--runs", 4, "--users", 8, "--height", 3,
+                "--height", 2, "--height", 3, "--cth-sweep", "1.0:2.0:0.5"]
+        assert run_cli(*args, "--out", out) == 2
+        cfg = RunConfig(mode=mode, runs=4, users=8, heights=[3.0, 2.0, 3.0],
+                        cth_sweep=(1.0, 2.0, 0.5))
+        expected = []
+        for family in validate_config(cfg):
+            summary = run_monte_carlo(family, 4)
+            height = repr(family.params.uav_height)
+            for scheme, st_ in summary.stats.items():
+                if mode == "sweep":
+                    expected.append(["rate_threshold_bits",
+                                     repr(family.reqs.rate_threshold), scheme,
+                                     height, repr(st_.mean), repr(st_.std), "4"])
+                else:
+                    expected.append([scheme, height, repr(st_.mean),
+                                     repr(st_.std), "4",
+                                     str(st_.infeasible_runs)])
+        name = "sweep.csv" if mode == "sweep" else "montecarlo.csv"
+        assert read_csv(out / name)[1] == expected
+
+    def test_sweep_solves_each_geometry_once(self, monkeypatch, tmp_path):
+        # greedy and SED calls per (seed, height) are those of the single
+        # solve that runs the most rounds, not the sum over the rates
+        calls = {"greedy": 0, "sed": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for attr, name in (("greedy_min_size_clustering", "greedy"),
+                           ("smallest_enclosing_disk", "sed")):
+            monkeypatch.setattr(uavvlc.optimizer, attr,
+                                counting(name, getattr(uavvlc.optimizer, attr)))
+        monkeypatch.setenv("UAVVLC_THREADS", "1")
+        assert run_cli(*self.SWEEP, "--seed", 7, "--out", tmp_path / "out") == 2
+        swept = dict(calls)
+
+        cfg = RunConfig(mode="sweep", seed=7, runs=3, heights=[2.0, 3.0])
+        families = validate_config(cfg)
+        expected = {"greedy": 0, "sed": 0}
+        singles = 0
+        for height in (2.0, 3.0):
+            for k in range(3):
+                most = {"greedy": 0, "sed": 0}
+                for family in families:
+                    if family.params.uav_height != height:
+                        continue
+                    calls.update(greedy=0, sed=0)
+                    scenario = family.scenario(k)
+                    for scheme in ("proposed", "uavoo", "sa1", "sa2"):
+                        solve_scenario(scenario, scheme)
+                    singles += calls["greedy"]
+                    most = {n: max(most[n], calls[n]) for n in most}
+                for n in most:
+                    expected[n] += most[n]
+        assert swept == expected
+        assert singles > swept["greedy"] > 0
 
 
 class TestFig4Mode:

@@ -1,16 +1,20 @@
 import itertools
 import math
 import random
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (cluster_cost, min_power_illum, min_power_rate,
                      sed_bruteforce)
-from uavvlc.assignment import CellAssociation
+import uavvlc.optimizer
+from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import (baseline_sa2, evaluate_power,
+from uavvlc.optimizer import (_descend, _start, baseline_sa2, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
 from uavvlc.scenario import (Scenario, default_params, default_requirements,
@@ -42,6 +46,11 @@ CELL_SUB_AREAS = [Rect(CELL_UAV.x - 0.5, CELL_UAV.y - 0.5,
 def random_users(seed, n=16):
     rng = random.Random(seed)
     return [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
+
+
+def bits(solution):
+    # every position, cluster, power, trace entry and flag, floats exactly
+    return repr(astuple(solution))
 
 
 def solve_fixed(scheme, users, sub_areas=SUB_AREAS):
@@ -186,9 +195,25 @@ class TestEvaluatePower:
         assert err.value.uav_index == 0
         assert err.value.user_index == 1
 
+    def test_zero_prefactor_still_rejects_out_of_fov(self):
+        # no power serves a user past the FOV, even where every served user
+        # needs none: 0 * inf would be NaN
+        params = default_params(noise_std=1e-320)
+        coeffs = constraint_coefficients(params, Requirements(1e-40, 0.0))
+        assert coeffs.prefactor == 0.0
+        users = [(0.0, 0.0), (1.0, 0.0), (20.0, 0.0)]
+        per, total = evaluate_power([(0.0, 0.0), (5.0, 5.0)],
+                                    CellAssociation([[0, 1], []]), users[:2],
+                                    coeffs, params)
+        assert per == [0.0, 0.0] and total == 0.0
+        with pytest.raises(InfeasibleError) as err:
+            evaluate_power([(0.0, 0.0), (5.0, 5.0)],
+                           CellAssociation([[0], [1, 2]]), users, coeffs, params)
+        assert (err.value.uav_index, err.value.user_index) == (1, 2)
+
 
 class TestCountMismatch:
-    """_price is the one pricing path, so a deployment whose association and
+    """_units is the one pricing path, so a deployment whose association and
     positions disagree on the UAV count is rejected, never priced short."""
 
     USERS = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
@@ -376,6 +401,77 @@ class TestOptimize:
             optimize([], CENTERS, PARAMS, REQS)
         with pytest.raises(ValueError):
             optimize([(1.0, 1.0)], CENTERS, PARAMS, REQS, max_iters=0)
+
+
+class TestCycleStop:
+    """The greedy rounds can cycle through associations that never beat the
+    best state.  A round's positions fix every round after it, so a round
+    whose positions repeat an earlier round's ends the descent with the
+    result of any longer cap."""
+
+    @staticmethod
+    def scenario():
+        return generate_scenario(11, num_users=40, grid=(3, 3),
+                                 params=default_params(uav_height=3.0))
+
+    def test_endless_cap_gives_the_capped_result(self, monkeypatch):
+        expected = bits(solve_scenario(self.scenario(), "proposed", max_iters=20))
+        inputs = []
+
+        def counted(positions, *args, **kwargs):
+            # fails a regression instead of hanging the suite
+            inputs.append(list(positions))
+            if len(inputs) > 50:
+                raise AssertionError("the greedy rounds did not stop")
+            return greedy_min_size_clustering(positions, *args, **kwargs)
+
+        monkeypatch.setattr(uavvlc.optimizer, "greedy_min_size_clustering",
+                            counted)
+        sol = solve_scenario(self.scenario(), "proposed", max_iters=10 ** 9)
+        assert bits(sol) == expected
+        # the fifth call's positions would have been the third call's
+        assert len(inputs) == 4
+        assert [e.step for e in sol.iterations] == ["init", "locate", "round"]
+
+
+class TestSharedDescent:
+    """Thresholds reach the descent only through the power prefactor, so
+    one walk of the greedy rounds serves any list of Requirements."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           height=st.sampled_from([2.0, 3.0, 8.0, 12.0]),
+           rates=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                          min_size=1, max_size=6),
+           illum=st.sampled_from([0.0, 0.1, 0.6]),
+           noise=st.sampled_from([1e-10, 0.05]),
+           max_iters=st.sampled_from([1, 2, 20]),
+           rel_tol=st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_each_requirements_gets_its_own_solve(self, seed, height, rates,
+                                                  illum, noise, max_iters,
+                                                  rel_tol):
+        users = random_users(seed, n=12)
+        params = default_params(uav_height=height, noise_std=noise)
+        reqs = [Requirements(rate, illum) for rate in rates]
+        start = _start(users, CENTERS,
+                       nearest_position_association(users, CENTERS), params)
+        sols = _descend(users, start, params, reqs, max_iters, rel_tol)
+        assert len(sols) == len(reqs)
+        for r, sol in zip(reqs, sols):
+            assert bits(sol) == bits(optimize(users, CENTERS, params, r,
+                                              max_iters, rel_tol))
+
+    def test_results_share_no_list(self):
+        users = random_users(5)
+        reqs = [Requirements(1.0, 0.1), Requirements(1.0, 0.1)]
+        start = _start(users, CENTERS,
+                       nearest_position_association(users, CENTERS), PARAMS)
+        a, b = _descend(users, start, PARAMS, reqs, 20, 1e-9)
+        assert bits(a) == bits(b)
+        a.uav_positions.append(Point2(-1.0, -1.0))
+        a.association.clusters[0].append(-1)
+        a.per_uav_power.append(-1.0)
+        assert bits(b) == bits(_descend(users, start, PARAMS, reqs[:1], 20, 1e-9)[0])
 
 
 class TestBaselines:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uavvlc
@@ -17,9 +17,10 @@ from uavvlc.channel import Requirements, constraint_coefficients
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import IterationEntry, baseline_sa2, optimize
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
-                             default_params, default_requirements,
+                             _solve, default_params, default_requirements,
                              generate_scenario, make_grid, per_user_report,
-                             run_monte_carlo, solve_scenario)
+                             run_monte_carlo, run_monte_carlo_batches,
+                             solve_scenario)
 
 RATE_REQ = 2.0
 ILLUM_REQ = 0.1
@@ -247,6 +248,50 @@ class TestPerUserReport:
             per_user_report(sol, sc.users, sc.params, sc.reqs)
 
 
+class TestPricedLast:
+    """Thresholds reach a solve only through the power prefactor, so a
+    scenario's geometry, solved once, gives every rate's own solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           height=st.sampled_from([2.0, 3.0, 8.0, 12.0]),
+           rates=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+                          min_size=1, max_size=6),
+           illum=st.sampled_from([0.0, 0.1, 0.6]),
+           noise=st.sampled_from([1e-10, 0.05]))
+    @example(seed=0, height=3.0, rates=[3.0, 1.0, 2.0, 1.0], illum=0.1,
+             noise=1e-10)
+    def test_each_rate_equals_a_fresh_solve(self, seed, height, rates, illum,
+                                            noise):
+        params = default_params(uav_height=height, noise_std=noise)
+        reqs = [Requirements(rate, illum) for rate in rates]
+        # the scenario's own reqs are not read: give it another rate's
+        shared = generate_scenario(seed, params=params,
+                                   reqs=Requirements(0.25, illum))
+        for scheme in SCHEMES:
+            sols = _solve(shared, scheme, reqs, 20, 1e-9)
+            assert len(sols) == len(reqs)
+            for r, sol in zip(reqs, sols):
+                fresh = generate_scenario(seed, params=params, reqs=r)
+                assert bits(sol) == bits(solve_scenario(fresh, scheme)), (scheme, r)
+
+    @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf)])
+    def test_zero_prefactor(self, seed, sa1):
+        # every served user needs no power, and one past the FOV still
+        # makes its scheme infeasible, 0 * inf being NaN
+        params = default_params(uav_height=2.0, noise_std=1e-320)
+        reqs = Requirements(1e-40, 0.0)
+        assert constraint_coefficients(params, reqs).prefactor == 0.0
+        scenario = generate_scenario(seed, params=params, reqs=reqs)
+        totals = {scheme: solve_scenario(scenario, scheme) for scheme in SCHEMES}
+        assert {scheme: (sol.total_power, sol.feasible)
+                for scheme, sol in totals.items()} == {
+            "proposed": (0.0, True), "uavoo": (0.0, True),
+            "sa1": (sa1, sa1 == 0.0), "sa2": (math.inf, False)}
+        assert not any(math.isnan(p) for sol in totals.values()
+                       for p in sol.per_uav_power)
+
+
 class TestScenarioConfig:
     def test_scenario_k_is_seeded_base_seed_plus_k(self):
         params = default_params(uav_height=12.0)
@@ -269,7 +314,7 @@ class TestScenarioConfig:
         # replace() rebuilds the config, so the fault surfaces before
         # run_monte_carlo is entered, not inside one of its runs
         runs = []
-        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
         with pytest.raises(ValueError, match=f"^{name} "):
             run_monte_carlo(replace(ScenarioConfig(), **{name: value}), 3)
         assert runs == []
@@ -299,7 +344,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             generate_scenario(seed=0, params=params, reqs=reqs)
         runs = []
-        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
         assert runs == []
@@ -315,7 +360,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="^grid "):
             ScenarioConfig(grid=grid)
         runs = []
-        monkeypatch.setattr(uavvlc.scenario, "_run_one", runs.append)
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
         with pytest.raises(ValueError, match="^grid "):
             run_monte_carlo(replace(ScenarioConfig(), grid=grid), 3)
         assert runs == []
@@ -373,6 +418,38 @@ class TestMonteCarlo:
             run_monte_carlo(ScenarioConfig(), num_runs=0)
         with pytest.raises(ValueError):
             run_monte_carlo(ScenarioConfig(), num_runs=1, schemes=("nope",))
+
+
+class TestMonteCarloBatches:
+    """Configs that differ only in reqs share each run's geometry; every
+    summary still equals its own run_monte_carlo."""
+
+    # heights 2 and 8, a rate repeated, and one config whose max_iters
+    # keeps it out of its height's group
+    CONFIGS = ([ScenarioConfig(base_seed=4, params=default_params(uav_height=h),
+                               reqs=Requirements(rate, 0.1))
+                for h in (2.0, 8.0) for rate in (2.5, 1.0, 2.5)]
+               + [ScenarioConfig(base_seed=4, reqs=Requirements(1.0, 0.1),
+                                 max_iters=1)])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_run_monte_carlo_in_any_order(self, workers):
+        expected = {id(c): repr(astuple(run_monte_carlo(c, 5)))
+                    for c in self.CONFIGS}
+        for order in range(3):
+            configs = list(self.CONFIGS)
+            random.Random(order).shuffle(configs)
+            summaries = run_monte_carlo_batches(configs, 5, workers=workers)
+            assert [repr(astuple(s)) for s in summaries] == [
+                expected[id(c)] for c in configs]
+
+    def test_schemes_subset_and_order(self):
+        schemes = ("sa2", "proposed")
+        summaries = run_monte_carlo_batches(self.CONFIGS[:3], 4, schemes)
+        for config, summary in zip(self.CONFIGS[:3], summaries):
+            assert summary.schemes == schemes
+            assert repr(astuple(summary)) == repr(astuple(
+                run_monte_carlo(config, 4, schemes)))
 
 
 class TestMeanStd:
