@@ -2,8 +2,10 @@
 
 The minimum-radius disk covering a finite point set is unique and is
 determined by at most three of the points on its boundary, and is found
-here by the expected linear-time randomized incremental method, run on
-the convex hull vertices only, since no point inside the hull fixes it.
+here by the expected linear-time randomized incremental method.  From 8
+points on it runs on the convex hull vertices only, since no point inside
+the hull fixes the disk; below that it runs on all points, with the same
+result, because the hull costs more than the interior points it saves.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ _MEMBERSHIP_TOL = 1e-10
 # Circumcenters come from a 2x2 perpendicular-bisector system; determinants
 # below this (relative to the squared coordinate scale) mean collinear.
 _DET_GUARD = 1e-12
+
+# The hull filter runs from this many points on: below it, finding the hull
+# costs more than the Welzl loop saves on the interior points; at 7 points
+# the two measured the same.
+_HULL_MIN_POINTS = 8
 
 
 class Point2(NamedTuple):
@@ -60,7 +67,8 @@ class Disk(NamedTuple):
 
     def contains(self, p: Sequence[float]) -> bool:
         """Membership with a tolerance of 1e-10 * max(1, radius)."""
-        return _covers(self.center.x, self.center.y, self.radius, p)
+        return (math.hypot(p[0] - self.center.x, p[1] - self.center.y)
+                <= _bound(self.radius))
 
 
 def _finite_points(points: Iterable[Sequence[float]], name: str) -> list:
@@ -72,52 +80,10 @@ def _finite_points(points: Iterable[Sequence[float]], name: str) -> list:
     return pts
 
 
-def _covers(cx: float, cy: float, r: float, p: Sequence[float]) -> bool:
-    return math.hypot(p[0] - cx, p[1] - cy) <= r + _MEMBERSHIP_TOL * max(1.0, r)
-
-
-def _diameter_disk(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
-    cx = (a[0] + b[0]) / 2.0
-    cy = (a[1] + b[1]) / 2.0
-    r = max(math.hypot(a[0] - cx, a[1] - cy), math.hypot(b[0] - cx, b[1] - cy))
-    return cx, cy, r
-
-
-def _circumdisk(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float]
-) -> Optional[tuple[float, float, float]]:
-    """Disk through three points, or None when they are (near) collinear.
-
-    The points are translated so their bounding-box midpoint sits at the
-    origin before solving; this keeps the determinant test meaningful for
-    clusters far from the origin.
-    """
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
-    if abs(d) <= _DET_GUARD * max(1.0, scale * scale):
-        return None
-    x = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-         + (cx * cx + cy * cy) * (ay - by)) / d
-    y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-         + (cx * cx + cy * cy) * (bx - ax)) / d
-    # Radius from the rounded center, so that the disk covers its own points
-    # where rounding x + ox exceeds the membership slack (coordinates ~1e8).
-    x, y = x + ox, y + oy
-    r = max(
-        math.hypot(x - a[0], y - a[1]),
-        math.hypot(x - b[0], y - b[1]),
-        math.hypot(x - c[0], y - c[1]),
-    )
-    return x, y, r
-
-
-def _cross(ox: float, oy: float, px: float, py: float, qx: float, qy: float) -> float:
-    return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+def _bound(r: float) -> float:
+    # The largest distance from the center that a disk of radius r covers;
+    # the conditional is max(1.0, r), NaN included, without the call.
+    return r + _MEMBERSHIP_TOL * (r if r > 1.0 else 1.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -131,13 +97,22 @@ def _shuffle_order(n: int, rng_seed: int) -> tuple[int, ...]:
 def _hull_vertices(pts: Sequence[tuple[float, float]]) -> set[tuple[float, float]]:
     # Andrew's monotone chain; points on a hull edge are not vertices.
     ordered = sorted(set(pts))
-    chains: list[list[tuple[float, float]]] = [[], []]
-    for chain, seq in zip(chains, (ordered, reversed(ordered))):
+    chain: list = [None] * len(ordered)
+    hull = set()
+    for seq in (ordered, ordered[::-1]):
+        k = 0
         for p in seq:
-            while len(chain) >= 2 and _cross(*chain[-2], *chain[-1], *p) <= 0.0:
-                chain.pop()
-            chain.append(p)
-    return set(chains[0]) | set(chains[1])
+            x, y = p
+            while k >= 2:
+                (ox, oy), (ax, ay) = chain[k - 2], chain[k - 1]
+                # o, a, p make no left turn: a is no vertex of this chain
+                if not (ax - ox) * (y - oy) - (ay - oy) * (x - ox) <= 0.0:
+                    break
+                k -= 1
+            chain[k] = p
+            k += 1
+        hull.update(chain[:k])
+    return hull
 
 
 def smallest_enclosing_disk(
@@ -152,73 +127,124 @@ def smallest_enclosing_disk(
     pinned; the same argument pins a second point one level down, after
     which the best disk is found by scanning circumcircles.
 
-    Points that are not convex hull vertices are dropped after the shuffle,
-    the rest keeping their order; they never fix the disk, so the floats are
-    the same unless gaps between points are below the 1e-10 * radius slack
-    (a 1 m cluster 1e8 away): then the disk may move by about 5e-9 of its
-    radius, still covering every point.  NaN or infinite coordinates raise.
+    From 8 points on, points that are not convex hull vertices are dropped
+    after the shuffle, the rest keeping their order; they never fix the
+    disk, so the floats are the same unless gaps between points are below
+    the 1e-10 * radius slack (a 1 m cluster 1e8 away): then the disk may
+    move by about 5e-9 of its radius, still covering every point.  Below 8
+    points the loop runs on all of them, where the hull costs more than the
+    interior points it would save, with the same result.  NaN or infinite
+    coordinates raise.
     """
     pts = _finite_points(points, "point")
     if not pts:
         raise ValueError("smallest_enclosing_disk requires at least one point")
     pts = [pts[k] for k in _shuffle_order(len(pts), rng_seed)]
-    if len(pts) > 3:
+    if len(pts) >= _HULL_MIN_POINTS:
         hull = _hull_vertices(pts)
         pts = [p for p in pts if p in hull]
 
-    disk: Optional[tuple[float, float, float]] = None
-    for i, p in enumerate(pts):
-        if disk is None or not _covers(*disk, p):
-            disk = _sed_one_boundary(pts[: i + 1], p)
-    assert disk is not None
-    return Disk(Point2(disk[0], disk[1]), disk[2])
+    cx, cy = pts[0]
+    r = 0.0
+    bound = _bound(r)
+    hypot = math.hypot
+    for i in range(1, len(pts)):
+        x, y = pts[i]
+        if not hypot(x - cx, y - cy) <= bound:
+            cx, cy, r = _sed_one_boundary(pts, i, x, y)
+            bound = _bound(r)
+    return Disk(Point2(cx, cy), r)
 
 
 def _sed_one_boundary(
-    pts: Sequence[tuple[float, float]], p: tuple[float, float]
+    pts: Sequence[tuple[float, float]], end: int, px: float, py: float
 ) -> tuple[float, float, float]:
-    # Smallest disk over pts with p known to lie on the boundary.
-    disk = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _covers(*disk, q):
-            if disk[2] == 0.0:
-                disk = _diameter_disk(p, q)
+    # Smallest disk over pts[: end + 1] with (px, py) known to lie on the
+    # boundary.
+    cx, cy, r = px, py, 0.0
+    bound = _bound(r)
+    hypot = math.hypot
+    for k in range(end + 1):
+        qx, qy = pts[k]
+        if not hypot(qx - cx, qy - cy) <= bound:
+            if r == 0.0:
+                # the disk on pq as diameter; its radius is the larger of the
+                # two rounded distances, so that it covers both ends
+                cx = (px + qx) / 2.0
+                cy = (py + qy) / 2.0
+                ra = hypot(px - cx, py - cy)
+                rb = hypot(qx - cx, qy - cy)
+                r = rb if rb > ra else ra
             else:
-                disk = _sed_two_boundary(pts[: i + 1], p, q)
-    return disk
+                cx, cy, r = _sed_two_boundary(pts, k, pts[end], pts[k])
+            bound = _bound(r)
+    return cx, cy, r
 
 
 def _sed_two_boundary(
     pts: Sequence[tuple[float, float]],
+    end: int,
     p: tuple[float, float],
     q: tuple[float, float],
 ) -> tuple[float, float, float]:
-    # Smallest disk over pts with both p and q on the boundary.  Candidate
-    # centers lie on the perpendicular bisector of pq; track the extreme
-    # circumcircle on each side of the line pq and keep the smaller.
-    circ = _diameter_disk(p, q)
+    # Smallest disk over pts[: end + 1] with both p and q on the boundary.
+    # Candidate centers lie on the perpendicular bisector of pq; track the
+    # extreme circumcircle on each side of the line pq and keep the smaller.
+    # The conditionals below are max and min with the builtins' tie rules.
+    px, py = p
+    qx, qy = q
+    hypot = math.hypot
+    # the disk on pq as diameter, as in _sed_one_boundary
+    mx = (px + qx) / 2.0
+    my = (py + qy) / 2.0
+    ra = hypot(px - mx, py - my)
+    rb = hypot(qx - mx, qy - my)
+    mr = rb if rb > ra else ra
+    bound = _bound(mr)
     left: Optional[tuple[float, float, float]] = None
     right: Optional[tuple[float, float, float]] = None
     left_x = right_x = 0.0
-    px, py = p
-    qx, qy = q
-    for r_pt in pts:
-        if _covers(*circ, r_pt):
+    dx, dy = qx - px, qy - py
+    lo_x, hi_x = qx if qx < px else px, qx if qx > px else px
+    lo_y, hi_y = qy if qy < py else py, qy if qy > py else py
+    for k in range(end + 1):
+        rx, ry = pts[k]
+        if hypot(rx - mx, ry - my) <= bound:
             continue
-        side = _cross(px, py, qx, qy, r_pt[0], r_pt[1])
-        cand = _circumdisk(p, q, r_pt)
-        if cand is None:
+        # which side of the line pq r lies on; on the line (or NaN) it
+        # picks no side, so its circumcircle is not needed
+        side = dx * (ry - py) - dy * (rx - px)
+        if not (side > 0.0 or side < 0.0):
             continue
-        cand_x = _cross(px, py, qx, qy, cand[0], cand[1])
-        if side > 0.0 and (left is None or cand_x > left_x):
-            left, left_x = cand, cand_x
-        elif side < 0.0 and (right is None or cand_x < right_x):
+        # The circumcircle of p, q and r, solved with the three translated
+        # so that their bounding-box midpoint o sits at the origin; this
+        # keeps the determinant test meaningful far from the origin.
+        ox = ((rx if rx < lo_x else lo_x) + (rx if rx > hi_x else hi_x)) / 2.0
+        oy = ((ry if ry < lo_y else lo_y) + (ry if ry > hi_y else hi_y)) / 2.0
+        ax, ay = px - ox, py - oy
+        bx, by = qx - ox, qy - oy
+        cx, cy = rx - ox, ry - oy
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
+        if abs(d) <= _DET_GUARD * max(1.0, scale * scale):
+            continue    # (near) collinear
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        x = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d + ox
+        y = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d + oy
+        # Radius from the rounded center, so that the disk covers its own
+        # points where rounding x + ox exceeds the slack (coordinates ~1e8).
+        cand = (x, y, max(hypot(x - px, y - py), hypot(x - qx, y - qy),
+                          hypot(x - rx, y - ry)))
+        cand_x = dx * (y - py) - dy * (x - px)
+        if side > 0.0:
+            if left is None or cand_x > left_x:
+                left, left_x = cand, cand_x
+        elif right is None or cand_x < right_x:
             right, right_x = cand, cand_x
     if left is None and right is None:
-        return circ
+        return mx, my, mr
     if left is None:
         return right  # type: ignore[return-value]
     if right is None:
         return left
     return left if left[2] <= right[2] else right
-

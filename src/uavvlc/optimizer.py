@@ -195,17 +195,17 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
 
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
-             params: VlcParams, reqs: Sequence[Requirements],
+             params: VlcParams, prefactors: Sequence[float],
              max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
-    # Greedy rounds from start's "locate" layout; the best state per reqs.
-    # The rounds read no threshold, so every reqs walks one shared sequence
-    # and keeps its own best state and rel_tol stop: its own solve, bit for bit.
+    # Greedy rounds from start's "locate" layout; the best state per power
+    # prefactor.  The rounds read no threshold, so every prefactor walks one
+    # shared sequence and keeps its own best state and rel_tol stop: its own
+    # solve, bit for bit.
     if not users:
         raise ValueError("at least one user is required")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     fixed, located = start
-    prefactors = [constraint_coefficients(params, r).prefactor for r in reqs]
     bests = [_priced(located, p, "locate") for p in prefactors]
     if located.violation is not None:
         return bests
@@ -274,7 +274,8 @@ def optimize(users: Sequence[Sequence[float]],
     """
     assoc = nearest_position_association(users, uav_initial_positions)
     start = _start(users, uav_initial_positions, assoc, params)
-    return _descend(users, start, params, [reqs], max_iters, rel_tol)[0]
+    prefactor = constraint_coefficients(params, reqs).prefactor
+    return _descend(users, start, params, [prefactor], max_iters, rel_tol)[0]
 
 
 def baseline_sa2(sub_areas: Sequence[Rect],

@@ -120,21 +120,24 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     sa1 and uavoo are proposed's first two states: each scenario computes
     them once and returns copies, equal to a fresh instance's solve and to
     optimize(users, centers) to the bit whatever the order of the calls."""
-    return _solve(scenario, scheme, [scenario.reqs], max_iters, rel_tol)[0]
+    prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
+    return _solve(scenario, scheme, [scenario.reqs], [prefactor], max_iters,
+                  rel_tol)[0]
 
 
 def _solve(scenario: Scenario, scheme: str, reqs: Sequence[Requirements],
-           max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
+           prefactors: Sequence[float], max_iters: int, rel_tol: float
+           ) -> list[DeploymentSolution]:
     # The scheme's solution at each of reqs (the scenario's own is not read),
-    # from one geometry: thresholds enter only through each prefactor.
+    # from one geometry: thresholds enter only through each prefactor, which
+    # the caller computes once per run for all schemes (prefactors[k] is that
+    # of reqs[k]); sa2 prices its corners from the reqs themselves.
     if scheme == "proposed":
         return _descend(scenario.users, scenario._shared_start, scenario.params,
-                        reqs, max_iters, rel_tol)
+                        prefactors, max_iters, rel_tol)
     if scheme in ("uavoo", "sa1"):
         layout = scenario._shared_start[scheme == "uavoo"]
-        return [_priced(layout,
-                        constraint_coefficients(scenario.params, r).prefactor,
-                        scheme) for r in reqs]
+        return [_priced(layout, p, scheme) for p in prefactors]
     if scheme == "sa2":
         return [baseline_sa2(scenario.sub_areas, scenario.params, r) for r in reqs]
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -225,9 +228,11 @@ def _run_group(args) -> list[tuple[Optional[float], ...]]:
     first = configs[0]
     scenario = first.scenario(run_index)
     reqs = [config.reqs for config in configs]
+    prefactors = [constraint_coefficients(first.params, r).prefactor
+                  for r in reqs]
     per_scheme = [[sol.total_power if sol.feasible else None
-                   for sol in _solve(scenario, scheme, reqs, first.max_iters,
-                                     first.rel_tol)]
+                   for sol in _solve(scenario, scheme, reqs, prefactors,
+                                     first.max_iters, first.rel_tol)]
                   for scheme in schemes]
     return list(zip(*per_scheme))
 

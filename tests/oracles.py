@@ -19,8 +19,130 @@ import mpmath
 from uavvlc.assignment import CellAssociation, farthest_user
 from uavvlc.channel import (_LN2, _TWO_PI, InfeasibleError, Requirements,
                             VlcParams)
-from uavvlc.geometry import (Disk, Point2, _circumdisk, _covers,
-                             _diameter_disk, _sed_one_boundary)
+from uavvlc.geometry import Disk, Point2
+
+# Containment slack and collinearity guard of the package's disk code.
+_MEMBERSHIP_TOL = 1e-10
+_DET_GUARD = 1e-12
+
+
+# The smallest-enclosing-disk loop and its helpers as the package ran them
+# before its kernel was inlined: prefix slices, _covers with *disk
+# unpacking and function calls throughout, so the kernel is checked
+# against code it does not share.
+
+
+def _covers(cx: float, cy: float, r: float, p: Sequence[float]) -> bool:
+    return math.hypot(p[0] - cx, p[1] - cy) <= r + _MEMBERSHIP_TOL * max(1.0, r)
+
+
+def _diameter_disk(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    cx = (a[0] + b[0]) / 2.0
+    cy = (a[1] + b[1]) / 2.0
+    r = max(math.hypot(a[0] - cx, a[1] - cy), math.hypot(b[0] - cx, b[1] - cy))
+    return cx, cy, r
+
+
+def _circumdisk(
+    a: Sequence[float], b: Sequence[float], c: Sequence[float]
+) -> Optional[tuple[float, float, float]]:
+    """Disk through three points, or None when they are (near) collinear.
+
+    The points are translated so their bounding-box midpoint sits at the
+    origin before solving; this keeps the determinant test meaningful for
+    clusters far from the origin.
+    """
+    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
+    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
+    ax, ay = a[0] - ox, a[1] - oy
+    bx, by = b[0] - ox, b[1] - oy
+    cx, cy = c[0] - ox, c[1] - oy
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
+    if abs(d) <= _DET_GUARD * max(1.0, scale * scale):
+        return None
+    x = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+         + (cx * cx + cy * cy) * (ay - by)) / d
+    y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+         + (cx * cx + cy * cy) * (bx - ax)) / d
+    # Radius from the rounded center, so that the disk covers its own points
+    # where rounding x + ox exceeds the membership slack (coordinates ~1e8).
+    x, y = x + ox, y + oy
+    r = max(
+        math.hypot(x - a[0], y - a[1]),
+        math.hypot(x - b[0], y - b[1]),
+        math.hypot(x - c[0], y - c[1]),
+    )
+    return x, y, r
+
+
+def _cross(ox: float, oy: float, px: float, py: float, qx: float, qy: float) -> float:
+    return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+
+
+def _sed_one_boundary(
+    pts: Sequence[tuple[float, float]], p: tuple[float, float]
+) -> tuple[float, float, float]:
+    # Smallest disk over pts with p known to lie on the boundary.
+    disk = (p[0], p[1], 0.0)
+    for i, q in enumerate(pts):
+        if not _covers(*disk, q):
+            if disk[2] == 0.0:
+                disk = _diameter_disk(p, q)
+            else:
+                disk = _sed_two_boundary(pts[: i + 1], p, q)
+    return disk
+
+
+def _sed_two_boundary(
+    pts: Sequence[tuple[float, float]],
+    p: tuple[float, float],
+    q: tuple[float, float],
+) -> tuple[float, float, float]:
+    # Smallest disk over pts with both p and q on the boundary.  Candidate
+    # centers lie on the perpendicular bisector of pq; track the extreme
+    # circumcircle on each side of the line pq and keep the smaller.
+    circ = _diameter_disk(p, q)
+    left: Optional[tuple[float, float, float]] = None
+    right: Optional[tuple[float, float, float]] = None
+    left_x = right_x = 0.0
+    px, py = p
+    qx, qy = q
+    for r_pt in pts:
+        if _covers(*circ, r_pt):
+            continue
+        side = _cross(px, py, qx, qy, r_pt[0], r_pt[1])
+        cand = _circumdisk(p, q, r_pt)
+        if cand is None:
+            continue
+        cand_x = _cross(px, py, qx, qy, cand[0], cand[1])
+        if side > 0.0 and (left is None or cand_x > left_x):
+            left, left_x = cand, cand_x
+        elif side < 0.0 and (right is None or cand_x < right_x):
+            right, right_x = cand, cand_x
+    if left is None and right is None:
+        return circ
+    if left is None:
+        return right  # type: ignore[return-value]
+    if right is None:
+        return left
+    return left if left[2] <= right[2] else right
+
+
+def hull_reference(pts: Sequence[tuple[float, float]]) -> set[tuple[float, float]]:
+    """Convex hull vertices by Andrew's monotone chain, as a set.
+
+    Points on a hull edge are not vertices.  The package's filter before
+    it inlined the cross product.
+    """
+    ordered = sorted(set(pts))
+    chains: list[list[tuple[float, float]]] = [[], []]
+    for chain, seq in zip(chains, (ordered, reversed(ordered))):
+        for p in seq:
+            while len(chain) >= 2 and _cross(*chain[-2], *chain[-1], *p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+    return set(chains[0]) | set(chains[1])
 
 
 def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
@@ -60,8 +182,8 @@ def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
 def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0) -> Disk:
     """The randomized incremental disk on every point, interior ones too.
 
-    Shuffles with random.Random(rng_seed) and runs the package's loop
-    with no convex-hull filter and no cached shuffle order.
+    Shuffles with random.Random(rng_seed) and runs the loop above, with
+    no convex-hull filter and no cached shuffle order.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sed_bruteforce, sed_unfiltered
-from uavvlc.geometry import (Disk, Point2, Rect, _shuffle_order,
-                             smallest_enclosing_disk)
+from oracles import hull_reference, sed_bruteforce, sed_unfiltered
+from uavvlc.geometry import (Disk, Point2, Rect, _hull_vertices,
+                             _shuffle_order, smallest_enclosing_disk)
 
 
 def dist(a, b):
@@ -120,7 +120,8 @@ def on_circle(rng, n, cx=3.0, cy=-1.0, r=2.0):
 class TestHullFilter:
     """The hull-filtered disk equals the unfiltered loop, bit for bit."""
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 9, 16, 50, 300, 2000])
+    # every size on both sides of the 8-point hull crossover, then larger
+    @pytest.mark.parametrize("n", [*range(1, 21), 50, 300, 2000])
     def test_matches_unfiltered_on_uniform_sets(self, n):
         rng = random.Random(n)
         for seed in range(12 if n < 300 else 2):
@@ -145,6 +146,7 @@ class TestHullFilter:
             else:
                 pts = random_points(rng, n)
             pts = [(x + offset, y + offset) for x, y in pts]
+            assert _hull_vertices(pts) == hull_reference(pts)
             assert smallest_enclosing_disk(pts, seed) == sed_unfiltered(pts, seed)
 
     def test_covers_every_point_far_from_the_origin(self):

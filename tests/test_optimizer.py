@@ -455,7 +455,9 @@ class TestSharedDescent:
         reqs = [Requirements(rate, illum) for rate in rates]
         start = _start(users, CENTERS,
                        nearest_position_association(users, CENTERS), params)
-        sols = _descend(users, start, params, reqs, max_iters, rel_tol)
+        prefactors = [constraint_coefficients(params, r).prefactor
+                      for r in reqs]
+        sols = _descend(users, start, params, prefactors, max_iters, rel_tol)
         assert len(sols) == len(reqs)
         for r, sol in zip(reqs, sols):
             assert bits(sol) == bits(optimize(users, CENTERS, params, r,
@@ -463,15 +465,17 @@ class TestSharedDescent:
 
     def test_results_share_no_list(self):
         users = random_users(5)
-        reqs = [Requirements(1.0, 0.1), Requirements(1.0, 0.1)]
+        prefactor = constraint_coefficients(PARAMS, Requirements(1.0, 0.1)).prefactor
+        prefactors = [prefactor, prefactor]
         start = _start(users, CENTERS,
                        nearest_position_association(users, CENTERS), PARAMS)
-        a, b = _descend(users, start, PARAMS, reqs, 20, 1e-9)
+        a, b = _descend(users, start, PARAMS, prefactors, 20, 1e-9)
         assert bits(a) == bits(b)
         a.uav_positions.append(Point2(-1.0, -1.0))
         a.association.clusters[0].append(-1)
         a.per_uav_power.append(-1.0)
-        assert bits(b) == bits(_descend(users, start, PARAMS, reqs[:1], 20, 1e-9)[0])
+        assert bits(b) == bits(_descend(users, start, PARAMS, prefactors[:1],
+                                        20, 1e-9)[0])
 
 
 class TestBaselines:

@@ -268,8 +268,10 @@ class TestPricedLast:
         # the scenario's own reqs are not read: give it another rate's
         shared = generate_scenario(seed, params=params,
                                    reqs=Requirements(0.25, illum))
+        prefactors = [constraint_coefficients(params, r).prefactor
+                      for r in reqs]
         for scheme in SCHEMES:
-            sols = _solve(shared, scheme, reqs, 20, 1e-9)
+            sols = _solve(shared, scheme, reqs, prefactors, 20, 1e-9)
             assert len(sols) == len(reqs)
             for r, sol in zip(reqs, sols):
                 fresh = generate_scenario(seed, params=params, reqs=r)
