@@ -12,8 +12,8 @@ from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, capacity_lower_bound, channel_gain,
                       constraint_coefficients, min_power_for_radius)
 from .geometry import Disk, Point2, Rect, smallest_enclosing_disk
-from .optimizer import (DeploymentSolution, IterationEntry, baseline_sa2,
-                        evaluate_power, geographic_association, locate_uavs,
+from .optimizer import (DeploymentSolution, IterationEntry, evaluate_power,
+                        geographic_association, locate_uavs,
                         nearest_position_association, optimize)
 from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
                        SchemeStats, UserReport, default_params,
@@ -29,7 +29,7 @@ __all__ = [
     "capacity_lower_bound", "channel_gain", "constraint_coefficients",
     "min_power_for_radius",
     "Disk", "Point2", "Rect", "smallest_enclosing_disk",
-    "DeploymentSolution", "IterationEntry", "baseline_sa2", "evaluate_power",
+    "DeploymentSolution", "IterationEntry", "evaluate_power",
     "geographic_association", "locate_uavs", "nearest_position_association",
     "optimize",
     "SCHEMES", "MonteCarloSummary", "Scenario", "ScenarioConfig",

@@ -108,9 +108,10 @@ def greedy_min_size_clustering(
         for i, cx, cy in candidates:
             dx = cx - ux
             dy = cy - uy
-            r = math.hypot(dx, dy)
-            if r > fov_ground_radius:
+            # pricing's FOV test, so a cell it forms never prices as inf
+            if math.sqrt(dx * dx + dy * dy) > fov_ground_radius:
                 continue
+            r = math.hypot(dx, dy)
             s = r * r + z2
             growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
             if growth < best_growth:
@@ -143,7 +144,7 @@ def _reach_cells(centers: list, users: list, radius: float) -> Optional[dict]:
         return None
     cells: dict[tuple[int, int], list] = {}
     for i, (cx, cy) in enumerate(centers):
-        # reach in cell units, padded well past key and hypot rounding
+        # reach in cell units, padded well past key and distance rounding
         kx, ky = cx / radius, cy / radius
         pad = 1.0 + 1e-12 * (1.0 + abs(kx) + abs(ky))
         for gx in range(math.floor(kx - pad), math.floor(kx + pad) + 1):

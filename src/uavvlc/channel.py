@@ -160,9 +160,10 @@ def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:
     z = params.uav_height
     dx = float(uav_pos[0]) - float(user_pos[0])
     dy = float(uav_pos[1]) - float(user_pos[1])
-    r = math.hypot(dx, dy)
-    if r > z * params.fov_tan:
+    # the FOV test that pricing and the greedy association make
+    if math.sqrt(dx * dx + dy * dy) > params.fov_ground_radius:
         return 0.0
+    r = math.hypot(dx, dy)
     d2 = r * r + z * z
     d = math.sqrt(d2)
     m = params.lambertian_m

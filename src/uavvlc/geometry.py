@@ -57,9 +57,6 @@ class Rect(NamedTuple):
         """Distance from the center to any corner."""
         return math.hypot(self.width / 2.0, self.height / 2.0)
 
-    def contains(self, p: Sequence[float]) -> bool:
-        return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
-
 
 class Disk(NamedTuple):
     center: Point2

@@ -16,23 +16,24 @@ sweep walks the rounds once for all its rates.
 Baselines: sa1 parks UAVs at sub-area centers and pays for the actual
 farthest user of each sub-area; sa2 parks them there and pays for the
 sub-area corner whether or not anyone is present; uavoo keeps the
-geographic association but moves UAVs to SED centers.  sa1 and uavoo are
-the proposed scheme's first two states ("init" and "locate"), built by
-_start, the one start builder that optimize and Scenario both call; a
-Scenario computes them once and solve_scenario is their only route.
+geographic association but moves UAVs to SED centers.  Each is a
+threshold-free _Layout that a Scenario computes once and _priced prices,
+and solve_scenario is their only route.  sa1 and uavoo are the proposed
+scheme's first two states ("init" and "locate"), built by _start, the one
+start builder that optimize and Scenario both call.  A layout is feasible
+when no unit power is inf, i.e. no user sits past its UAV's FOV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
-                      VlcParams, _powers, _unit_power, constraint_coefficients,
-                      min_power_for_radius)
+                      VlcParams, _powers, _unit_power, constraint_coefficients)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
 
@@ -102,48 +103,28 @@ def locate_uavs(association: CellAssociation,
 
 class _Layout(NamedTuple):
     # A deployment before any threshold: each cell's unit power (0 when
-    # empty, inf past the FOV) and the first out-of-FOV (UAV, user), or None.
+    # empty, inf past the FOV, so feasible means no inf).
     positions: list[Point2]
     association: CellAssociation
     units: list[float]
-    violation: Optional[tuple[int, int]]
 
 
 def _units(positions: Sequence[Sequence[float]],
            association: CellAssociation,
            users: Sequence[Sequence[float]],
-           exponent: float, params: VlcParams
-           ) -> tuple[list[float], Optional[tuple[int, int]]]:
+           exponent: float, params: VlcParams) -> list[float]:
     # Per-UAV unit powers of a fixed deployment, each cell paying for its
-    # farthest user, and the first (UAV, user) outside the FOV, or None.
+    # farthest user
     if len(association.clusters) != len(positions):
         raise ValueError(f"association has {len(association.clusters)} clusters "
                          f"for {len(positions)} UAV positions")
     units: list[float] = []
-    violation = None
-    for i, cluster in enumerate(association.clusters):
-        if not cluster:
+    for center, cluster in zip(positions, association.clusters):
+        if cluster:
+            s_max = farthest_user(center, cluster, users)[0]
+            units.append(_unit_power(math.sqrt(s_max), exponent, params))
+        else:
             units.append(0.0)
-            continue
-        s_max, j_max = farthest_user(positions[i], cluster, users)
-        unit = _unit_power(math.sqrt(s_max), exponent, params)
-        if unit == math.inf and violation is None:
-            violation = (i, j_max)
-        units.append(unit)
-    return units, violation
-
-
-def _feasible_units(positions: Sequence[Sequence[float]],
-                    association: CellAssociation,
-                    users: Sequence[Sequence[float]],
-                    exponent: float, params: VlcParams) -> list[float]:
-    # _units, raising InfeasibleError for a user outside its UAV's FOV
-    units, violation = _units(positions, association, users, exponent, params)
-    if violation is not None:
-        i, j = violation
-        raise InfeasibleError(
-            f"user {j} is outside the field of view of UAV {i}",
-            uav_index=i, user_index=j)
     return units
 
 
@@ -158,8 +139,14 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     Raises InfeasibleError naming the UAV and user when someone sits
     outside their serving UAV's field of view, whatever the prefactor.
     """
-    per = _powers(coeffs.prefactor, _feasible_units(
-        positions, association, users, coeffs.exponent, params))
+    units = _units(positions, association, users, coeffs.exponent, params)
+    if math.inf in units:
+        i = units.index(math.inf)
+        j = farthest_user(positions[i], association.clusters[i], users)[1]
+        raise InfeasibleError(
+            f"user {j} is outside the field of view of UAV {i}",
+            uav_index=i, user_index=j)
+    per = _powers(coeffs.prefactor, units)
     return per, math.fsum(per)
 
 
@@ -167,7 +154,7 @@ def _priced(layout: _Layout, prefactor: float, step: str) -> DeploymentSolution:
     # The layout at one prefactor, sharing no list with it, with a one-entry
     # trace; an infeasible one totals inf.
     per = _powers(prefactor, layout.units)
-    feasible = layout.violation is None
+    feasible = math.inf not in layout.units
     total = math.fsum(per) if feasible else math.inf
     return DeploymentSolution(
         list(layout.positions),
@@ -188,10 +175,10 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
     exponent = _exponent(params)
     fixed = [Point2(float(p[0]), float(p[1])) for p in positions]
     init = _Layout(fixed, association,
-                   *_units(fixed, association, users, exponent, params))
+                   _units(fixed, association, users, exponent, params))
     located = locate_uavs(association, users, fixed)
     return init, _Layout(located, association,
-                         *_units(located, association, users, exponent, params))
+                         _units(located, association, users, exponent, params))
 
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
@@ -207,9 +194,9 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
         raise ValueError("max_iters must be >= 1")
     fixed, located = start
     bests = [_priced(located, p, "locate") for p in prefactors]
-    if located.violation is not None:
+    if math.inf in located.units:
         return bests
-    if fixed.violation is None:    # fixed initial placement may violate the FOV
+    if math.inf not in fixed.units:    # fixed initial placement may violate the FOV
         for best, p in zip(bests, prefactors):
             best.iterations.insert(0, IterationEntry(
                 math.fsum(_powers(p, fixed.units)), "init"))
@@ -230,7 +217,9 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
             break    # association fixed point; relocation would change nothing
         positions = locate_uavs(cand_assoc, users, positions)
         assoc = cand_assoc
-        units = _feasible_units(positions, assoc, users, exponent, params)
+        units = _units(positions, assoc, users, exponent, params)
+        if math.inf in units:
+            break    # relocation put a user past the FOV; keep the best so far
         still = []
         for p, best in live:
             per = _powers(p, units)
@@ -267,32 +256,12 @@ def optimize(users: Sequence[Sequence[float]],
     entry.  The loop stops at an association fixed point, when a round's
     positions repeat an earlier round's (the rounds would cycle), when an
     improvement falls below rel_tol, or at the round cap; the best state
-    seen is returned.  Once a feasible state is reached the loop cannot
-    leave feasibility: greedy only assigns within the FOV and the SED
-    center never increases a cluster's farthest distance.  From sub-area
+    seen is returned.  A round whose relocated positions leave a user
+    outside its UAV's field of view (a rounding step past the edge) also
+    ends the descent, keeping the best state so far.  From sub-area
     centers this is solve_scenario's "proposed", bit for bit.
     """
     assoc = nearest_position_association(users, uav_initial_positions)
     start = _start(users, uav_initial_positions, assoc, params)
     prefactor = constraint_coefficients(params, reqs).prefactor
     return _descend(users, start, params, [prefactor], max_iters, rel_tol)[0]
-
-
-def baseline_sa2(sub_areas: Sequence[Rect],
-                 params: VlcParams,
-                 reqs: Requirements) -> DeploymentSolution:
-    """Worst-case static deployment: every UAV pays for its sub-area corner.
-
-    User-independent, so the association is left empty; per-UAV powers are
-    nonzero regardless.
-    """
-    positions = [r.center() for r in sub_areas]
-    assoc = CellAssociation([[] for _ in sub_areas])
-    coeffs = constraint_coefficients(params, reqs)
-    per = [min_power_for_radius(rect.half_diagonal(), coeffs, params)
-           for rect in sub_areas]
-    feasible = math.inf not in per
-    total = math.fsum(per) if feasible else math.inf
-    return DeploymentSolution(positions, assoc, per, total,
-                              [IterationEntry(total, "sa2")], feasible)
-

@@ -17,12 +17,13 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-from .channel import (Requirements, VlcParams, capacity_lower_bound,
-                      channel_gain, constraint_coefficients,
-                      min_power_for_radius)
+from .assignment import CellAssociation
+from .channel import (Requirements, VlcParams, _unit_power,
+                      capacity_lower_bound, channel_gain,
+                      constraint_coefficients, min_power_for_radius)
 from .geometry import Point2, Rect
-from .optimizer import (DeploymentSolution, _descend, _Layout, _priced, _start,
-                        baseline_sa2, geographic_association)
+from .optimizer import (DeploymentSolution, _descend, _exponent, _Layout,
+                        _priced, _start, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -66,6 +67,16 @@ class Scenario:
         return _start(self.users, [r.center() for r in self.sub_areas],
                       geographic_association(self.users, self.sub_areas),
                       self.params)
+
+    @functools.cached_property
+    def _sa2_layout(self) -> _Layout:
+        # sa2's layout at any thresholds: each UAV at its sub-area center
+        # pays for the corner, users or not, so every cluster stays empty
+        exponent = _exponent(self.params)
+        return _Layout([r.center() for r in self.sub_areas],
+                       CellAssociation([[] for _ in self.sub_areas]),
+                       [_unit_power(r.half_diagonal(), exponent, self.params)
+                        for r in self.sub_areas])
 
 
 def _check_grid(grid_x: int, grid_y: int) -> None:
@@ -117,30 +128,30 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
                    rel_tol: float = 1e-9) -> DeploymentSolution:
     """Run one scheme on one scenario.
 
-    sa1 and uavoo are proposed's first two states: each scenario computes
-    them once and returns copies, equal to a fresh instance's solve and to
-    optimize(users, centers) to the bit whatever the order of the calls."""
+    sa1 and uavoo are proposed's first two states, and sa2 a layout that
+    reads no user: each scenario computes them once and returns copies,
+    equal to a fresh instance's solve and to optimize(users, centers) to
+    the bit whatever the order of the calls."""
     prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
-    return _solve(scenario, scheme, [scenario.reqs], [prefactor], max_iters,
-                  rel_tol)[0]
+    return _solve(scenario, scheme, [prefactor], max_iters, rel_tol)[0]
 
 
-def _solve(scenario: Scenario, scheme: str, reqs: Sequence[Requirements],
-           prefactors: Sequence[float], max_iters: int, rel_tol: float
-           ) -> list[DeploymentSolution]:
-    # The scheme's solution at each of reqs (the scenario's own is not read),
-    # from one geometry: thresholds enter only through each prefactor, which
-    # the caller computes once per run for all schemes (prefactors[k] is that
-    # of reqs[k]); sa2 prices its corners from the reqs themselves.
+def _solve(scenario: Scenario, scheme: str, prefactors: Sequence[float],
+           max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
+    # The scheme's solution at each power prefactor (the scenario's own reqs
+    # are not read), from one geometry: thresholds enter only through the
+    # prefactor, which the caller computes once per run for all schemes.
+    # proposed descends; every other scheme prices its cached layout.
     if scheme == "proposed":
         return _descend(scenario.users, scenario._shared_start, scenario.params,
                         prefactors, max_iters, rel_tol)
     if scheme in ("uavoo", "sa1"):
         layout = scenario._shared_start[scheme == "uavoo"]
-        return [_priced(layout, p, scheme) for p in prefactors]
-    if scheme == "sa2":
-        return [baseline_sa2(scenario.sub_areas, scenario.params, r) for r in reqs]
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    elif scheme == "sa2":
+        layout = scenario._sa2_layout
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return [_priced(layout, p, scheme) for p in prefactors]
 
 
 @dataclass(frozen=True)
@@ -227,11 +238,10 @@ def _run_group(args) -> list[tuple[Optional[float], ...]]:
     configs, run_index, schemes = args
     first = configs[0]
     scenario = first.scenario(run_index)
-    reqs = [config.reqs for config in configs]
-    prefactors = [constraint_coefficients(first.params, r).prefactor
-                  for r in reqs]
+    prefactors = [constraint_coefficients(first.params, config.reqs).prefactor
+                  for config in configs]
     per_scheme = [[sol.total_power if sol.feasible else None
-                   for sol in _solve(scenario, scheme, reqs, prefactors,
+                   for sol in _solve(scenario, scheme, prefactors,
                                      first.max_iters, first.rel_tol)]
                   for scheme in schemes]
     return list(zip(*per_scheme))

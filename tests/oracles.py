@@ -18,8 +18,10 @@ import mpmath
 
 from uavvlc.assignment import CellAssociation, farthest_user
 from uavvlc.channel import (_LN2, _TWO_PI, InfeasibleError, Requirements,
-                            VlcParams)
-from uavvlc.geometry import Disk, Point2
+                            VlcParams, constraint_coefficients,
+                            min_power_for_radius)
+from uavvlc.geometry import Disk, Point2, Rect
+from uavvlc.optimizer import DeploymentSolution, IterationEntry
 
 # Containment slack and collinearity guard of the package's disk code.
 _MEMBERSHIP_TOL = 1e-10
@@ -218,9 +220,10 @@ def greedy_reference(uav_centers: Sequence[Sequence[float]],
         best_growth = math.inf
         best_sq = 0.0
         for i, (cx, cy) in enumerate(centers):
-            r = math.hypot(cx - ux, cy - uy)
-            if r > fov_ground_radius:
+            dx, dy = cx - ux, cy - uy
+            if math.sqrt(dx * dx + dy * dy) > fov_ground_radius:
                 continue
+            r = math.hypot(dx, dy)
             s = r * r + z2
             growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
             if growth < best_growth:
@@ -333,3 +336,26 @@ def min_power_illum(gain: float, reqs: Requirements, params: VlcParams) -> float
     if gain <= 0.0:
         raise InfeasibleError("zero channel gain: user outside the field of view")
     return reqs.illum_threshold / (params.illum_factor * gain)
+
+
+# sa2 as the package priced it before it became a cached layout: per
+# sub-area through min_power_for_radius, from the thresholds themselves.
+
+
+def baseline_sa2(sub_areas: Sequence[Rect],
+                 params: VlcParams,
+                 reqs: Requirements) -> DeploymentSolution:
+    """Worst-case static deployment: every UAV pays for its sub-area corner.
+
+    User-independent, so the association is left empty; per-UAV powers are
+    nonzero regardless.
+    """
+    positions = [r.center() for r in sub_areas]
+    assoc = CellAssociation([[] for _ in sub_areas])
+    coeffs = constraint_coefficients(params, reqs)
+    per = [min_power_for_radius(rect.half_diagonal(), coeffs, params)
+           for rect in sub_areas]
+    feasible = math.inf not in per
+    total = math.fsum(per) if feasible else math.inf
+    return DeploymentSolution(positions, assoc, per, total,
+                              [IterationEntry(total, "sa2")], feasible)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cluster_cost, min_power_illum, min_power_rate,
-                     sed_bruteforce)
+from oracles import (baseline_sa2, cluster_cost, min_power_illum,
+                     min_power_rate, sed_bruteforce)
 import uavvlc.optimizer
 from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import (_descend, _start, baseline_sa2, evaluate_power,
+from uavvlc.optimizer import (_descend, _start, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
 from uavvlc.scenario import (Scenario, default_params, default_requirements,
@@ -53,11 +53,11 @@ def bits(solution):
     return repr(astuple(solution))
 
 
-def solve_fixed(scheme, users, sub_areas=SUB_AREAS):
-    # sa1 or uavoo on a fresh scenario over these users and sub-areas, the
-    # one route to the baselines that start from the sub-area centers
+def solve_fixed(scheme, users, sub_areas=SUB_AREAS, params=PARAMS):
+    # a baseline on a fresh scenario over these users and sub-areas, the
+    # one route to the schemes that park UAVs at the sub-area centers
     scenario = Scenario(AREA, tuple(sub_areas), tuple(Point2(*u) for u in users),
-                        0, PARAMS, REQS)
+                        0, params, REQS)
     return solve_scenario(scenario, scheme)
 
 
@@ -73,7 +73,7 @@ class TestAssociationHelpers:
         labels = assoc.labels(len(users))
         for j, u in enumerate(users):
             rect = SUB_AREAS[labels[j]]
-            assert rect.contains(u)
+            assert rect.x0 <= u[0] <= rect.x1 and rect.y0 <= u[1] <= rect.y1
 
 
 class TestNearestPositionInput:
@@ -434,6 +434,40 @@ class TestCycleStop:
         assert [e.step for e in sol.iterations] == ["init", "locate", "round"]
 
 
+class TestRelocationPastTheFov:
+    """The SED keeps a point within its 1e-10 * r membership slack, so a
+    cluster that greedy fits inside one UAV's FOV can relocate to a center
+    that leaves a user a hair past it; that round ends the descent."""
+
+    USERS = [(14.784744185765792, 39.2241292061972),
+             (30.684197872040794, 16.730821620664187),
+             (21.338081785443475, 13.243761825925324),
+             (9.717351476333533, 19.794863756957156),
+             (15.544704995310362, 14.584188259466398)]
+    CENTERS = [(21.492114066569656, 27.099312123779633),
+               (11.516749130154277, 5.713212089367544)]
+
+    def test_keeps_the_best_state_so_far(self):
+        # the first round relocates users 3 and 4 about 1e-14 m past the FOV
+        start = _start(self.USERS, self.CENTERS, nearest_position_association(
+            self.USERS, self.CENTERS), PARAMS)[1]
+        assoc = greedy_min_size_clustering(
+            start.positions, self.USERS, COEFFS.exponent, PARAMS.uav_height,
+            fov_ground_radius=PARAMS.fov_ground_radius)
+        assert assoc.clusters == [[0, 1, 2, 3, 4], []]
+        moved = locate_uavs(assoc, self.USERS, start.positions)
+        with pytest.raises(InfeasibleError, match="^user 4 is outside the "
+                                                  "field of view of UAV 0$"):
+            evaluate_power(moved, assoc, self.USERS, COEFFS, PARAMS)
+        sol = optimize(self.USERS, self.CENTERS, PARAMS, REQS)
+        assert sol.feasible
+        assert [e.step for e in sol.iterations] == ["init", "locate"]
+        assert sol.association.clusters == [[0, 1, 3], [2, 4]]
+        assert evaluate_power(sol.uav_positions, sol.association, self.USERS,
+                              COEFFS, PARAMS) == (sol.per_uav_power,
+                                                  sol.total_power)
+
+
 class TestSharedDescent:
     """Thresholds reach the descent only through the power prefactor, so
     one walk of the greedy rounds serves any list of Requirements."""
@@ -493,7 +527,8 @@ class TestBaselines:
         assert sol.per_uav_power[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sa2_reference_power(self):
-        sol = baseline_sa2(SUB_AREAS, PARAMS, REQS)
+        sol = solve_fixed("sa2", random_users(0))
+        assert bits(sol) == bits(baseline_sa2(SUB_AREAS, PARAMS, REQS))
         # corner of a 5x5 sub-area at height 8: d = sqrt(76.5)
         d = math.sqrt(76.5)
         assert d == pytest.approx(8.74642784226795, rel=1e-15)
@@ -502,13 +537,14 @@ class TestBaselines:
         assert sol.association.clusters == [[], [], [], []]
 
     def test_sa2_ignores_users(self):
-        a = baseline_sa2(SUB_AREAS, PARAMS, REQS)
-        b = baseline_sa2(SUB_AREAS, PARAMS, REQS)
-        assert a.total_power == b.total_power
+        a = solve_fixed("sa2", random_users(1))
+        b = solve_fixed("sa2", list(CENTERS))
+        assert bits(a) == bits(b) == bits(baseline_sa2(SUB_AREAS, PARAMS, REQS))
 
     def test_sa2_infeasible_when_corner_leaves_fov(self):
         low = default_params(uav_height=2.0)    # ground radius 2 sqrt(3) < 2.5 sqrt(2)
-        sol = baseline_sa2(SUB_AREAS, low, REQS)
+        sol = solve_fixed("sa2", random_users(2), params=low)
+        assert bits(sol) == bits(baseline_sa2(SUB_AREAS, low, REQS))
         assert not sol.feasible
         assert sol.total_power == math.inf
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import uavvlc
 import uavvlc.scenario
-from uavvlc.channel import Requirements, constraint_coefficients
+from oracles import baseline_sa2
+from uavvlc.channel import Requirements, channel_gain, constraint_coefficients
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import IterationEntry, baseline_sa2, optimize
+from uavvlc.optimizer import IterationEntry, optimize
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
                              _solve, default_params, default_requirements,
                              generate_scenario, make_grid, per_user_report,
@@ -48,7 +49,8 @@ class TestMakeGrid:
         rng = random.Random(7)
         for _ in range(100):
             p = (rng.uniform(-3.0, 9.0), rng.uniform(1.0, 7.0))
-            assert any(r.contains(p) for r in grid)
+            assert any(r.x0 <= p[0] <= r.x1 and r.y0 <= p[1] <= r.y1
+                       for r in grid)
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
@@ -248,6 +250,64 @@ class TestPerUserReport:
             per_user_report(sol, sc.users, sc.params, sc.reqs)
 
 
+class TestOneFovTest:
+    """Pricing, the greedy association and channel_gain all decide the FOV
+    with sqrt(dx*dx + dy*dy) > R.  hypot can round the other way for a user
+    on the edge, so a scheme used to count such a user in where another
+    counted it out.  Users (R, 0), (-R, 0) and u, with u on the FOV edge of
+    the origin."""
+
+    PARAMS = default_params()
+    R = PARAMS.fov_ground_radius
+    PAST = (0.6842850481197861, 13.839499773218673)      # hypot <= R < sqrt
+    INSIDE = (0.33240776766004027, 13.852418744609162)   # sqrt <= R < hypot
+
+    def scenario(self, u, sub_areas):
+        users = ((self.R, 0.0), (-self.R, 0.0), u)
+        return Scenario(Rect(-20.0, -20.0, 20.0, 20.0), tuple(sub_areas),
+                        tuple(Point2(*p) for p in users), 0, self.PARAMS,
+                        default_requirements())
+
+    def assert_consistent(self, scenario):
+        # proposed returns, never above uavoo, and every user of each
+        # user-priced scheme gets its thresholds
+        sols = {scheme: solve_scenario(scenario, scheme)
+                for scheme in ("proposed", "uavoo", "sa1")}
+        assert all(sol.feasible for sol in sols.values())
+        assert sols["proposed"].total_power <= sols["uavoo"].total_power
+        for sol in sols.values():
+            for rep in per_user_report(sol, scenario.users, scenario.params,
+                                       scenario.reqs):
+                assert rep.achieved_rate >= RATE_REQ - 1e-9
+                assert rep.achieved_illum >= ILLUM_REQ - 1e-12
+        return sols
+
+    def test_past_the_edge_by_sqrt_is_outside(self):
+        # u has its own sub-area; greedy used to hand it to the origin's
+        # UAV, whose priced cell then raised from inside the descent
+        x, y = u = self.PAST
+        assert math.hypot(-x, -y) <= self.R < math.sqrt(x * x + y * y)
+        sub_areas = [Rect(-1.0, -1.0, 1.0, 1.0),
+                     Rect(x - 1.0, y - 1.0, x + 1.0, y + 1.0)]
+        sols = self.assert_consistent(self.scenario(u, sub_areas))
+        assert sols["uavoo"].total_power == 1139350.935701898
+        assert sols["proposed"].association.clusters == [[0, 1], [2]]
+        sol = optimize([(self.R, 0.0), (-self.R, 0.0), u], [(0.0, 0.0), u],
+                       self.PARAMS, default_requirements())
+        assert sol.feasible
+        assert channel_gain((0.0, 0.0), u, self.PARAMS) == 0.0
+
+    def test_inside_the_edge_by_sqrt_is_inside(self):
+        # one UAV at the origin: greedy used to find u outside every FOV,
+        # and per_user_report gave u no light while sa1 and uavoo paid for it
+        x, y = u = self.INSIDE
+        assert math.sqrt(x * x + y * y) <= self.R < math.hypot(-x, -y)
+        sols = self.assert_consistent(
+            self.scenario(u, [Rect(-1.0, -1.0, 1.0, 1.0)]))
+        assert sols["proposed"].association.clusters == [[0, 1, 2]]
+        assert channel_gain((0.0, 0.0), u, self.PARAMS) > 0.0
+
+
 class TestPricedLast:
     """Thresholds reach a solve only through the power prefactor, so a
     scenario's geometry, solved once, gives every rate's own solve."""
@@ -271,7 +331,7 @@ class TestPricedLast:
         prefactors = [constraint_coefficients(params, r).prefactor
                       for r in reqs]
         for scheme in SCHEMES:
-            sols = _solve(shared, scheme, reqs, prefactors, 20, 1e-9)
+            sols = _solve(shared, scheme, prefactors, 20, 1e-9)
             assert len(sols) == len(reqs)
             for r, sol in zip(reqs, sols):
                 fresh = generate_scenario(seed, params=params, reqs=r)
