@@ -8,10 +8,10 @@ so the SED center is the unique power-minimizing position for a given
 cluster; the greedy pass carries no such guarantee, so the loop runs a
 bounded number of rounds and returns the best state it visited.
 
-The thresholds enter only through that prefactor: neither step reads
-them.  So the start and the rounds are computed as unit powers, one
-geometry per scenario, and each Requirements prices it last; a rate
-sweep walks the rounds once for all its rates.
+The thresholds enter only through that prefactor, which neither step
+reads and which scales every cell alike.  So the descent compares unit
+powers, its best layout is the same at every threshold, and each
+Requirements prices it last: a rate sweep walks the rounds once.
 
 Baselines: sa1 parks UAVs at sub-area centers and pays for the actual
 farthest user of each sub-area; sa2 parks them there and pays for the
@@ -150,16 +150,22 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     return per, math.fsum(per)
 
 
-def _priced(layout: _Layout, prefactor: float, step: str) -> DeploymentSolution:
-    # The layout at one prefactor, sharing no list with it, with a one-entry
-    # trace; an infeasible one totals inf.
+def _total(prefactor: float, units: Sequence[float]) -> float:
+    # total power at one prefactor; an inf unit (past the FOV) sums to inf
+    return math.fsum(_powers(prefactor, units))
+
+
+def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
+            prefactor: float) -> DeploymentSolution:
+    # The layout and its (step, units) trace at one prefactor, sharing no
+    # list with either; the only place a DeploymentSolution is built.
     per = _powers(prefactor, layout.units)
-    feasible = math.inf not in layout.units
-    total = math.fsum(per) if feasible else math.inf
     return DeploymentSolution(
         list(layout.positions),
         CellAssociation([list(c) for c in layout.association.clusters]),
-        per, total, [IterationEntry(total, step)], feasible)
+        per, math.fsum(per),
+        [IterationEntry(_total(prefactor, units), step) for step, units in trace],
+        math.inf not in layout.units)
 
 
 def _exponent(params: VlcParams) -> float:
@@ -182,32 +188,29 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
 
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
-             params: VlcParams, prefactors: Sequence[float],
-             max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
-    # Greedy rounds from start's "locate" layout; the best state per power
-    # prefactor.  The rounds read no threshold, so every prefactor walks one
-    # shared sequence and keeps its own best state and rel_tol stop: its own
-    # solve, bit for bit.
+             params: VlcParams, max_iters: int, rel_tol: float
+             ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
+    # Greedy rounds from start's "locate" layout: the best layout and its
+    # (step, units) trace, "init" first when feasible.  Rounds compare unit
+    # powers, so the result is the same at every positive prefactor.
     if not users:
         raise ValueError("at least one user is required")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    fixed, located = start
-    bests = [_priced(located, p, "locate") for p in prefactors]
-    if math.inf in located.units:
-        return bests
+    fixed, best = start
+    trace = [("locate", best.units)]
+    if math.inf in best.units:
+        return best, trace
     if math.inf not in fixed.units:    # fixed initial placement may violate the FOV
-        for best, p in zip(bests, prefactors):
-            best.iterations.insert(0, IterationEntry(
-                math.fsum(_powers(p, fixed.units)), "init"))
+        trace.insert(0, ("init", fixed.units))
     exponent = _exponent(params)
-    live = list(zip(prefactors, bests))    # (prefactor, best) still descending
-    positions, assoc = located.positions, located.association
+    best_total = math.fsum(best.units)
+    positions, assoc = best.positions, best.association
     seen = set()
     for _ in range(max_iters):
-        # a round's input fixes every round after it, and bests only fall
+        # a round's input fixes every round after it, and the best only falls
         key = tuple(positions)
-        if not live or key in seen:
+        if key in seen:
             break
         seen.add(key)
         cand_assoc = greedy_min_size_clustering(
@@ -220,22 +223,14 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
         units = _units(positions, assoc, users, exponent, params)
         if math.inf in units:
             break    # relocation put a user past the FOV; keep the best so far
-        still = []
-        for p, best in live:
-            per = _powers(p, units)
-            total = math.fsum(per)
-            if total < best.total_power:
-                converged = best.total_power - total <= rel_tol * best.total_power
-                best.uav_positions = list(positions)
-                best.association = CellAssociation(
-                    [list(c) for c in assoc.clusters])
-                best.per_uav_power, best.total_power = per, total
-                best.iterations.append(IterationEntry(total, "round"))
-                if converged:
-                    continue
-            still.append((p, best))
-        live = still
-    return bests
+        total = math.fsum(units)
+        if total < best_total:
+            best = _Layout(positions, assoc, units)
+            trace.append(("round", units))
+            if best_total - total <= rel_tol * best_total:
+                break
+            best_total = total
+    return best, trace
 
 
 def optimize(users: Sequence[Sequence[float]],
@@ -251,17 +246,19 @@ def optimize(users: Sequence[Sequence[float]],
     (re-associate, relocate), at most max_iters of them.  The greedy pass
     is a heuristic, so a round may raise total power; such rounds still
     advance the working state (they can unlock better associations later)
-    but only rounds that improve on the best power so far are recorded in
-    the trace, which is therefore strictly decreasing after the "locate"
-    entry.  The loop stops at an association fixed point, when a round's
-    positions repeat an earlier round's (the rounds would cycle), when an
-    improvement falls below rel_tol, or at the round cap; the best state
-    seen is returned.  A round whose relocated positions leave a user
-    outside its UAV's field of view (a rounding step past the edge) also
-    ends the descent, keeping the best state so far.  From sub-area
-    centers this is solve_scenario's "proposed", bit for bit.
+    but only rounds that improve on the best unit power (power over the
+    prefactor) so far are recorded in the trace, which is therefore
+    strictly decreasing in unit power after the "locate" entry.  The loop
+    stops at an association fixed point, when a round's positions repeat
+    an earlier round's (the rounds would cycle), when an improvement falls
+    below rel_tol of the unit power, a ratio the same at every threshold,
+    or at the round cap; the best state seen is returned.  A round whose
+    relocated positions leave a user outside its UAV's field of view (a
+    rounding step past the edge) also ends the descent, keeping the best
+    state so far.  From sub-area centers this is solve_scenario's
+    "proposed", bit for bit.
     """
     assoc = nearest_position_association(users, uav_initial_positions)
     start = _start(users, uav_initial_positions, assoc, params)
     prefactor = constraint_coefficients(params, reqs).prefactor
-    return _descend(users, start, params, [prefactor], max_iters, rel_tol)[0]
+    return _priced(*_descend(users, start, params, max_iters, rel_tol), prefactor)

@@ -23,7 +23,7 @@ from .channel import (Requirements, VlcParams, _unit_power,
                       constraint_coefficients, min_power_for_radius)
 from .geometry import Point2, Rect
 from .optimizer import (DeploymentSolution, _descend, _exponent, _Layout,
-                        _priced, _start, geographic_association)
+                        _priced, _start, _total, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -115,13 +115,7 @@ def generate_scenario(seed: int, area_size: float = 10.0,
     rejects a layout or thresholds as ScenarioConfig does."""
     params = params if params is not None else default_params()
     reqs = reqs if reqs is not None else default_requirements()
-    _check_layout(area_size, num_users, params, reqs)
-    area = Rect(0.0, 0.0, float(area_size), float(area_size))
-    rng = random.Random(seed)
-    users = tuple(Point2(rng.uniform(0.0, area_size), rng.uniform(0.0, area_size))
-                  for _ in range(num_users))
-    return Scenario(area=area, sub_areas=tuple(make_grid(area, *grid)),
-                    users=users, seed=seed, params=params, reqs=reqs)
+    return ScenarioConfig(area_size, grid, num_users, seed, params, reqs).scenario()
 
 
 def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
@@ -133,25 +127,24 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     equal to a fresh instance's solve and to optimize(users, centers) to
     the bit whatever the order of the calls."""
     prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
-    return _solve(scenario, scheme, [prefactor], max_iters, rel_tol)[0]
+    return _priced(*_layout(scenario, scheme, max_iters, rel_tol), prefactor)
 
 
-def _solve(scenario: Scenario, scheme: str, prefactors: Sequence[float],
-           max_iters: int, rel_tol: float) -> list[DeploymentSolution]:
-    # The scheme's solution at each power prefactor (the scenario's own reqs
-    # are not read), from one geometry: thresholds enter only through the
-    # prefactor, which the caller computes once per run for all schemes.
-    # proposed descends; every other scheme prices its cached layout.
+def _layout(scenario: Scenario, scheme: str, max_iters: int, rel_tol: float
+            ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
+    # The scheme's threshold-free layout and (step, units) trace; the
+    # scenario's reqs are not read.  proposed descends from the shared
+    # start, and every other scheme is a cached layout.
     if scheme == "proposed":
         return _descend(scenario.users, scenario._shared_start, scenario.params,
-                        prefactors, max_iters, rel_tol)
+                        max_iters, rel_tol)
     if scheme in ("uavoo", "sa1"):
         layout = scenario._shared_start[scheme == "uavoo"]
     elif scheme == "sa2":
         layout = scenario._sa2_layout
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return [_priced(layout, p, scheme) for p in prefactors]
+    return layout, [(scheme, layout.units)]
 
 
 @dataclass(frozen=True)
@@ -206,11 +199,19 @@ class ScenarioConfig:
         if not 0.0 <= self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and >= 0")
 
+    @functools.cached_property
+    def _grid(self) -> tuple[Rect, tuple[Rect, ...]]:
+        # the area and its sub-areas, the same in every scenario of the family
+        area = Rect(0.0, 0.0, float(self.area_size), float(self.area_size))
+        return area, tuple(make_grid(area, *self.grid))
+
     def scenario(self, run_index: int = 0) -> Scenario:
         """The family's scenario number run_index, seeded base_seed + run_index."""
-        return generate_scenario(self.base_seed + run_index, self.area_size,
-                                 self.grid, self.num_users, self.params,
-                                 self.reqs)
+        seed = self.base_seed + run_index
+        rng, size = random.Random(seed), self.area_size
+        users = tuple(Point2(rng.uniform(0.0, size), rng.uniform(0.0, size))
+                      for _ in range(self.num_users))
+        return Scenario(*self._grid, users, seed, self.params, self.reqs)
 
 
 @dataclass
@@ -238,13 +239,14 @@ def _run_group(args) -> list[tuple[Optional[float], ...]]:
     configs, run_index, schemes = args
     first = configs[0]
     scenario = first.scenario(run_index)
-    prefactors = [constraint_coefficients(first.params, config.reqs).prefactor
-                  for config in configs]
-    per_scheme = [[sol.total_power if sol.feasible else None
-                   for sol in _solve(scenario, scheme, prefactors,
-                                     first.max_iters, first.rel_tol)]
-                  for scheme in schemes]
-    return list(zip(*per_scheme))
+    units = [_layout(scenario, scheme, first.max_iters, first.rel_tol)[0].units
+             for scheme in schemes]
+    results = []
+    for config in configs:
+        prefactor = constraint_coefficients(first.params, config.reqs).prefactor
+        totals = [_total(prefactor, u) for u in units]
+        results.append(tuple(t if t < math.inf else None for t in totals))
+    return results
 
 
 def _pairwise_sum(xs: Sequence[float]) -> float:

@@ -14,7 +14,7 @@ from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (InfeasibleError, Requirements,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import (_descend, _start, evaluate_power,
+from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
 from uavvlc.scenario import (Scenario, default_params, default_requirements,
@@ -26,6 +26,7 @@ COEFFS = constraint_coefficients(PARAMS, REQS)
 AREA = Rect(0.0, 0.0, 10.0, 10.0)
 SUB_AREAS = make_grid(AREA, 2, 2)
 CENTERS = [r.center() for r in SUB_AREAS]
+CENTERS_3X3 = [r.center() for r in make_grid(AREA, 3, 3)]
 
 
 # A feasible cell on which two farthest-user scans that priced infeasible
@@ -470,10 +471,12 @@ class TestRelocationPastTheFov:
 
 class TestSharedDescent:
     """Thresholds reach the descent only through the power prefactor, so
-    one walk of the greedy rounds serves any list of Requirements."""
+    one threshold-free descent, priced last, serves any list of
+    Requirements."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
+           shape=st.sampled_from([(12, CENTERS), (40, CENTERS_3X3)]),
            height=st.sampled_from([2.0, 3.0, 8.0, 12.0]),
            rates=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
                           min_size=1, max_size=6),
@@ -481,35 +484,35 @@ class TestSharedDescent:
            noise=st.sampled_from([1e-10, 0.05]),
            max_iters=st.sampled_from([1, 2, 20]),
            rel_tol=st.sampled_from([0.0, 1e-9, 0.05]))
-    def test_each_requirements_gets_its_own_solve(self, seed, height, rates,
-                                                  illum, noise, max_iters,
-                                                  rel_tol):
-        users = random_users(seed, n=12)
+    def test_each_requirements_gets_its_own_solve(self, seed, shape, height,
+                                                  rates, illum, noise,
+                                                  max_iters, rel_tol):
+        num_users, centers = shape
+        users = random_users(seed, n=num_users)
         params = default_params(uav_height=height, noise_std=noise)
-        reqs = [Requirements(rate, illum) for rate in rates]
-        start = _start(users, CENTERS,
-                       nearest_position_association(users, CENTERS), params)
-        prefactors = [constraint_coefficients(params, r).prefactor
-                      for r in reqs]
-        sols = _descend(users, start, params, prefactors, max_iters, rel_tol)
-        assert len(sols) == len(reqs)
-        for r, sol in zip(reqs, sols):
-            assert bits(sol) == bits(optimize(users, CENTERS, params, r,
+        start = _start(users, centers,
+                       nearest_position_association(users, centers), params)
+        layout, trace = _descend(users, start, params, max_iters, rel_tol)
+        for rate in rates:
+            r = Requirements(rate, illum)
+            sol = _priced(layout, trace, constraint_coefficients(params, r).prefactor)
+            assert bits(sol) == bits(optimize(users, centers, params, r,
                                               max_iters, rel_tol))
 
     def test_results_share_no_list(self):
         users = random_users(5)
         prefactor = constraint_coefficients(PARAMS, Requirements(1.0, 0.1)).prefactor
-        prefactors = [prefactor, prefactor]
         start = _start(users, CENTERS,
                        nearest_position_association(users, CENTERS), PARAMS)
-        a, b = _descend(users, start, PARAMS, prefactors, 20, 1e-9)
+        layout, trace = _descend(users, start, PARAMS, 20, 1e-9)
+        a, b = (_priced(layout, trace, prefactor) for _ in range(2))
         assert bits(a) == bits(b)
         a.uav_positions.append(Point2(-1.0, -1.0))
         a.association.clusters[0].append(-1)
         a.per_uav_power.append(-1.0)
-        assert bits(b) == bits(_descend(users, start, PARAMS, prefactors[:1],
-                                        20, 1e-9)[0])
+        a.iterations.append(uavvlc.optimizer.IterationEntry(-1.0, "vandal"))
+        assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9),
+                                       prefactor))
 
 
 class TestBaselines:

@@ -16,9 +16,9 @@ import uavvlc.scenario
 from oracles import baseline_sa2
 from uavvlc.channel import Requirements, channel_gain, constraint_coefficients
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import IterationEntry, optimize
-from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
-                             _solve, default_params, default_requirements,
+from uavvlc.optimizer import IterationEntry, _priced, optimize
+from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _layout,
+                             _mean_std, default_params, default_requirements,
                              generate_scenario, make_grid, per_user_report,
                              run_monte_carlo, run_monte_carlo_batches,
                              solve_scenario)
@@ -331,16 +331,17 @@ class TestPricedLast:
         prefactors = [constraint_coefficients(params, r).prefactor
                       for r in reqs]
         for scheme in SCHEMES:
-            sols = _solve(shared, scheme, prefactors, 20, 1e-9)
-            assert len(sols) == len(reqs)
+            layout, trace = _layout(shared, scheme, 20, 1e-9)
+            sols = [_priced(layout, trace, p) for p in prefactors]
             for r, sol in zip(reqs, sols):
                 fresh = generate_scenario(seed, params=params, reqs=r)
                 assert bits(sol) == bits(solve_scenario(fresh, scheme)), (scheme, r)
 
-    @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf)])
+    @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf), (4, 0.0)])
     def test_zero_prefactor(self, seed, sa1):
         # every served user needs no power, and one past the FOV still
-        # makes its scheme infeasible, 0 * inf being NaN
+        # makes its scheme infeasible, 0 * inf being NaN; proposed still
+        # descends on unit power, to its layout at a positive prefactor
         params = default_params(uav_height=2.0, noise_std=1e-320)
         reqs = Requirements(1e-40, 0.0)
         assert constraint_coefficients(params, reqs).prefactor == 0.0
@@ -352,6 +353,24 @@ class TestPricedLast:
             "sa1": (sa1, sa1 == 0.0), "sa2": (math.inf, False)}
         assert not any(math.isnan(p) for sol in totals.values()
                        for p in sol.per_uav_power)
+        positive = replace(scenario, reqs=default_requirements())
+        assert constraint_coefficients(params, positive.reqs).prefactor > 0.0
+        priced = solve_scenario(positive, "proposed")
+        assert totals["proposed"].uav_positions == priced.uav_positions
+        assert totals["proposed"].association == priced.association
+
+    def test_proposed_layout_is_the_same_at_every_rate(self):
+        # rounds compare on unit power, so no rate keeps a round that is
+        # lower only by a rounding step at its own prefactor
+        params = default_params(8.0, noise_std=0.05)
+        layouts = set()
+        for rate in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            scenario = generate_scenario(129, 15.0, (3, 3), 40, params,
+                                         Requirements(rate, 0.6))
+            sol = solve_scenario(scenario, "proposed")
+            layouts.add(repr((sol.uav_positions, sol.association,
+                              [entry.step for entry in sol.iterations])))
+        assert len(layouts) == 1
 
 
 class TestScenarioConfig:
