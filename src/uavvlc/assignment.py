@@ -8,11 +8,13 @@ minimization is combinatorial, so users are folded in greedily: all K
 disks start at zero radius, and each user joins the disk whose cost grows
 the least, which prices a cell's first user at the full d^(m+3) and makes
 parking many users under one UAV attractive when the per-cell floor
-z_u^(m+3) outweighs the extra radius.  Large, wide layouts scan by cell.
+z_u^(m+3) outweighs the extra radius.  Large, wide layouts scan by cell,
+and there a user first checks the disks that already hold it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,7 +81,10 @@ def greedy_min_size_clustering(
     Growth is never negative, so a user's scan stops at zero growth.  With
     16+ UAVs spread wider than 2 * fov_ground_radius on some axis, a user
     scans only the UAVs its grid cell lists, in index order, which gives a
-    full scan's clusters.  A NaN or infinite coordinate raises ValueError.
+    full scan's clusters.  There, for exponents of at least 1, a user first
+    joins the first disk holding it at zero growth among those its cell
+    of a grid a third as fine lists.  A NaN or infinite coordinate raises
+    ValueError.
     """
     if z_u <= 0.0:
         raise ValueError("z_u must be > 0")
@@ -97,29 +102,49 @@ def greedy_min_size_clustering(
     sq_radius = [0.0] * len(centers)
     cost = [0.0] * len(centers)
     clusters: list[list[int]] = [[] for _ in centers]
+    # Held cells of side R/3, each listing in index order the disks that
+    # may hold a user there at zero growth, and per disk the squared ground
+    # distance past which it grows (the 1e-9 term outweighs rounding s).
+    side = fov_ground_radius / 3.0
+    held: Optional[dict] = {} if cells is not None and exponent >= 1.0 else None
+    inner = [-math.inf] * len(centers)
 
     for j, (ux, uy) in enumerate(points):
-        candidates = everyone if cells is None else cells.get(
-            (math.floor(ux / fov_ground_radius),
-             math.floor(uy / fov_ground_radius)), ())
         best_i = -1
         best_growth = math.inf
         best_sq = 0.0
-        for i, cx, cy in candidates:
-            dx = cx - ux
-            dy = cy - uy
-            # pricing's FOV test, so a cell it forms never prices as inf
-            if math.sqrt(dx * dx + dy * dy) > fov_ground_radius:
-                continue
-            r = math.hypot(dx, dy)
-            s = r * r + z2
-            growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
-            if growth < best_growth:
-                best_i = i
-                best_growth = growth
-                best_sq = s
-                if growth == 0.0:
-                    break    # growth is never negative: nothing later wins
+        if held is not None:
+            for i, cx, cy in held.get(
+                    (math.floor(ux / side), math.floor(uy / side)), ()):
+                dx = cx - ux
+                dy = cy - uy
+                d2 = dx * dx + dy * dy
+                if d2 > inner[i] or math.sqrt(d2) > fov_ground_radius:
+                    continue
+                r = math.hypot(dx, dy)
+                s = r * r + z2
+                if s <= sq_radius[i] or s ** half_exp - cost[i] == 0.0:
+                    best_i, best_sq = i, s
+                    break    # the full scan stops at this same first zero
+        if best_i < 0:
+            candidates = everyone if cells is None else cells.get(
+                (math.floor(ux / fov_ground_radius),
+                 math.floor(uy / fov_ground_radius)), ())
+            for i, cx, cy in candidates:
+                dx = cx - ux
+                dy = cy - uy
+                # pricing's FOV test, so a cell it forms never prices as inf
+                if math.sqrt(dx * dx + dy * dy) > fov_ground_radius:
+                    continue
+                r = math.hypot(dx, dy)
+                s = r * r + z2
+                growth = s ** half_exp - cost[i] if s > sq_radius[i] else 0.0
+                if growth < best_growth:
+                    best_i = i
+                    best_growth = growth
+                    best_sq = s
+                    if growth == 0.0:
+                        break    # growth is never negative: nothing later wins
         if best_i < 0:
             raise InfeasibleError(
                 f"user {j} lies outside every UAV's field of view",
@@ -128,6 +153,14 @@ def greedy_min_size_clustering(
         if best_sq > sq_radius[best_i]:
             sq_radius[best_i] = best_sq
             cost[best_i] = best_sq ** half_exp
+            if held is not None:
+                inner[best_i] = best_sq - z2 + 1e-9 * best_sq
+                disk = everyone[best_i]
+                reach = math.sqrt(inner[best_i])
+                for key in _cells_within(disk[1], disk[2], reach, side):
+                    listed = held.setdefault(key, [])
+                    if disk not in listed:
+                        bisect.insort(listed, disk)
     return CellAssociation(clusters)
 
 
@@ -144,10 +177,15 @@ def _reach_cells(centers: list, users: list, radius: float) -> Optional[dict]:
         return None
     cells: dict[tuple[int, int], list] = {}
     for i, (cx, cy) in enumerate(centers):
-        # reach in cell units, padded well past key and distance rounding
-        kx, ky = cx / radius, cy / radius
-        pad = 1.0 + 1e-12 * (1.0 + abs(kx) + abs(ky))
-        for gx in range(math.floor(kx - pad), math.floor(kx + pad) + 1):
-            for gy in range(math.floor(ky - pad), math.floor(ky + pad) + 1):
-                cells.setdefault((gx, gy), []).append((i, cx, cy))
+        for key in _cells_within(cx, cy, radius, radius):
+            cells.setdefault(key, []).append((i, cx, cy))
     return cells
+
+
+def _cells_within(cx: float, cy: float, reach: float, side: float):
+    # Keys (floor(x / side), floor(y / side)) of the cells that reach
+    # meets around (cx, cy), padded well past key and distance rounding.
+    kx, ky = cx / side, cy / side
+    pad = reach / side + 1e-12 * (1.0 + abs(kx) + abs(ky))
+    return itertools.product(range(math.floor(kx - pad), math.floor(kx + pad) + 1),
+                             range(math.floor(ky - pad), math.floor(ky + pad) + 1))

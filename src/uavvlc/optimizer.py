@@ -26,6 +26,7 @@ when no unit power is inf, i.e. no user sits past its UAV's FOV.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -80,11 +81,42 @@ def geographic_association(users: Sequence[Sequence[float]],
                            sub_areas: Sequence[Rect]) -> CellAssociation:
     """Sub-area membership association.
 
-    Implemented as nearest sub-area center, which coincides with rectangle
-    membership for uniform grid tilings (the Voronoi cells of a rectangular
-    lattice are the rectangles themselves).
+    Implemented as nearest sub-area center (lowest index on ties), which
+    coincides with rectangle membership for uniform grid tilings (the
+    Voronoi cells of a rectangular lattice are the rectangles themselves).
+    On a row-major grid of over 9 centers a user compares only the 2x2 that
+    bracket it, with the same answer, unless some user is a million grid
+    gaps off the grid.
     """
-    return nearest_position_association(users, [r.center() for r in sub_areas])
+    centers = [r.center() for r in sub_areas]
+    if len(centers) <= 9:
+        return nearest_position_association(users, centers)
+    points = _finite_points(centers, "UAV position")
+    cols = [c[1] for c in points].count(points[0][1])
+    xs = [c[0] for c in points[:cols]]
+    ys = [c[1] for c in points[::cols]]
+    # rows and columns must increase; past far, rounding may tie any center
+    gap = min(b - a for v in (xs, ys) for a, b in zip(v, v[1:]))
+    if gap <= 0.0 or points != [(x, y) for y in ys for x in xs]:
+        return nearest_position_association(users, centers)
+    far = 1e12 * gap * gap
+    clusters: list[list[int]] = [[] for _ in centers]
+    for j, (ux, uy) in enumerate(_finite_points(users, "user")):
+        kx = bisect.bisect_left(xs, ux)
+        ky = bisect.bisect_left(ys, uy)
+        best_i = 0
+        best_s = math.inf
+        for iy in range(max(ky - 1, 0), min(ky + 1, len(ys))):
+            for ix in range(max(kx - 1, 0), min(kx + 1, len(xs))):
+                dx = xs[ix] - ux
+                dy = ys[iy] - uy
+                s = dx * dx + dy * dy
+                if s < best_s:
+                    best_i, best_s = iy * len(xs) + ix, s
+        if best_s > far:
+            return nearest_position_association(users, centers)
+        clusters[best_i].append(j)
+    return CellAssociation(clusters)
 
 
 def locate_uavs(association: CellAssociation,

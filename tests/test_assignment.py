@@ -141,10 +141,10 @@ class TestGreedy:
             greedy([], [(0.0, 0.0)])
 
 
-def outcome(solver, centers, users, radius):
+def outcome(solver, centers, users, radius, z_u=Z_U):
     """Clusters, or the index of the first user no UAV reaches."""
     try:
-        return solver(centers, users, EXPONENT, Z_U, radius).clusters
+        return solver(centers, users, EXPONENT, z_u, radius).clusters
     except InfeasibleError as err:
         return err.user_index
 
@@ -153,12 +153,12 @@ class TestGreedyAgainstReference:
     """Early exit and buckets give the plain scan's clusters exactly."""
 
     @staticmethod
-    def assert_same(centers, users, radius, bucketed=True):
+    def assert_same(centers, users, radius, bucketed=True, z_u=Z_U):
         # the bucket path is the one under test unless said otherwise
         points = [(float(x), float(y)) for x, y in users]
         assert (_reach_cells(centers, points, radius) is not None) == bucketed
-        assert (outcome(greedy_min_size_clustering, centers, users, radius)
-                == outcome(greedy_reference, centers, users, radius))
+        assert (outcome(greedy_min_size_clustering, centers, users, radius, z_u)
+                == outcome(greedy_reference, centers, users, radius, z_u))
 
     @staticmethod
     def unreachable_last(rng, users, far):
@@ -207,6 +207,69 @@ class TestGreedyAgainstReference:
             far = (offset + 12.0 * radius, offset + 0.5 * radius)
             self.assert_same(centers, self.unreachable_last(rng, users, far),
                              radius)
+
+    # z_u sets how much of r^2 the rounding of s = r^2 + z_u^2 loses
+    @pytest.mark.parametrize("z_u", [0.01, Z_U, 1000.0])
+    @pytest.mark.parametrize("radius", [2.5, 0.3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_users_on_grown_rims(self, offset, radius, z_u):
+        # UAVs on held-cell corners and edge midpoints, so disks straddle
+        # cell borders; users a whole number of held cells from a UAV along
+        # an axis (on a border, or at the nadir), and repeats of earlier
+        # users, which sit on a grown rim at exactly its squared radius
+        rng = random.Random(9)
+        side = radius / 3.0
+        for _ in range(20):
+            centers = [(0.5 * side * rng.randint(0, 50) + offset,
+                        0.5 * side * rng.randint(0, 50) + offset)
+                       for _ in range(rng.randint(16, 40))]
+            users = []
+            for _ in range(150):
+                if users and rng.random() < 0.4:
+                    users.append(rng.choice(users))
+                    continue
+                cx, cy = rng.choice(centers)
+                k = side * rng.randint(0, 3)
+                users.append(rng.choice([(cx + k, cy), (cx - k, cy),
+                                         (cx, cy + k), (cx, cy - k)]))
+            self.assert_same(centers, users, radius, z_u=z_u)
+
+    @pytest.mark.parametrize("radius", [2.5, 0.3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_lower_index_holder_beats_a_nearer_one(self, offset, radius):
+        # user 0 stretches UAV 0's disk to two held cells, user 1 sits on
+        # its rim at the mirror point (a cell border), user 2 opens UAV 1
+        # one cell from that point, and user 3 repeats user 1: both disks
+        # hold it at zero growth and the lower index must win, which needs
+        # user 1's cell to list UAV 0.  UAVs 2 to 15 widen the layout.  At
+        # 1000 m over R = 2.5 m, rounding s = r^2 + z_u^2 puts the rim past
+        # the bare ground radius (the 1e-9 term of the bound covers it); at
+        # 0.01 m and 1e8 the rounding of cell keys outruns that term (the
+        # box pad covers it).
+        side = radius / 3.0
+        for z_u in (0.01, Z_U, 1000.0):
+            for shift in range(30):
+                x = offset + shift * side
+                centers = [(x, offset), (x + 3.0 * side, offset)]
+                centers += [(offset + (12.0 + 3.0 * k) * radius, offset)
+                            for k in range(14)]
+                users = [(x - 2.0 * side, offset), (x + 2.0 * side, offset),
+                         (x + 4.0 * side, offset), (x + 2.0 * side, offset)]
+                self.assert_same(centers, users, radius, z_u=z_u)
+                assert outcome(greedy_min_size_clustering, centers, users,
+                               radius, z_u)[:2] == [[0, 1, 3], [2]]
+
+    def test_exponents_below_one_skip_the_held_cells(self):
+        # s ** 1e-20 rounds to 1.0 for every s, so any non-empty disk in
+        # reach takes a user at zero growth, however far its rim
+        rng = random.Random(1)
+        centers = [(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(30)]
+        users = [(cx + rng.uniform(-1.7, 1.7), cy + rng.uniform(-1.7, 1.7))
+                 for cx, cy in rng.choices(centers, k=200)]
+        assert _reach_cells(centers, users, 2.5) is not None
+        for exponent in (1e-20, 0.5):
+            assert (greedy_min_size_clustering(centers, users, exponent, Z_U, 2.5)
+                    == greedy_reference(centers, users, exponent, Z_U, 2.5))
 
     def test_equidistant_uavs_tie_to_lowest_index(self):
         radius = 3.0

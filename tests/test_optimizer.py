@@ -116,6 +116,111 @@ class TestNearestPositionInput:
                 == nearest_position_association(floats, [(2.0, 8.0), (8.0, 2.0)]))
 
 
+class TestGeographicGrid:
+    """On a row-major grid of sub-areas, the 2x2 centers whose columns and
+    rows bracket a user give the scan of every center, ties to the lowest
+    index included."""
+
+    @pytest.fixture(autouse=True)
+    def count_scans(self, monkeypatch):
+        # calls that fall back to scanning every center
+        self.scans = 0
+        scan = uavvlc.optimizer.nearest_position_association
+
+        def counted(users, positions):
+            self.scans += 1
+            return scan(users, positions)
+        monkeypatch.setattr(uavvlc.optimizer, "nearest_position_association",
+                            counted)
+
+    def assert_scan(self, users, sub_areas, bracketed=True):
+        centers = [r.center() for r in sub_areas]
+        scans = self.scans
+        assoc = geographic_association(users, sub_areas)
+        assert self.scans == scans + (not bracketed)
+        assert assoc == nearest_position_association(users, centers)
+
+    @staticmethod
+    def probes(rng, sub_areas, area):
+        # every corner and edge midpoint of every sub-area, points slid
+        # along its edges, the outer border, and points off the area
+        users = []
+        for r in sub_areas:
+            xm, ym = r.center()
+            users += [(x, y) for x in (r.x0, xm, r.x1) for y in (r.y0, ym, r.y1)]
+            users += [(r.x0, rng.uniform(r.y0, r.y1)),
+                      (rng.uniform(r.x0, r.x1), r.y1)]
+        span = max(area.width, area.height)
+        for far in (0.01, 1.0, 1e3, 1e4):
+            users += [(area.x0 - far * span, rng.uniform(area.y0, area.y1)),
+                      (rng.uniform(area.x0, area.x1), area.y1 + far * span),
+                      (area.x1 + far * span, area.y0 - far * span)]
+        users += [(rng.uniform(area.x0, area.x1), rng.uniform(area.y0, area.y1))
+                  for _ in range(200)]
+        rng.shuffle(users)
+        return users
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 4), (10, 10),
+                                       (1, 12), (12, 1)])
+    def test_uniform_grids(self, shape, offset):
+        rng = random.Random(shape[0] * 31 + shape[1])
+        # 0.3 is not a double; whole-metre steps make edge users exact ties
+        sizes = [(0.3 * k, 0.45 * k) for k in (1, 7, 33)] + [shape]
+        for width, height in sizes:
+            area = Rect(offset, -offset, offset + width, -offset + height)
+            sub_areas = make_grid(area, *shape)
+            users = self.probes(rng, sub_areas, area)
+            self.assert_scan(users, sub_areas, len(sub_areas) > 9)
+            # a user 1e9 area widths off, where rounding ties every column,
+            # makes the whole call scan every center
+            self.assert_scan(users + [(area.x1, area.y0 - 1e9 * width)],
+                             sub_areas, bracketed=False)
+
+    def test_uneven_grids_take_the_bracket(self):
+        # columns and rows of any widths, from a twentieth of the widest up;
+        # the last layout has one column ten times as wide as the rest
+        rng = random.Random(3)
+        layouts = [([0.0] + [rng.uniform(0.05, 1.0) for _ in range(11)],
+                    [0.0] + [rng.uniform(0.05, 1.0) for _ in range(5)])
+                   for _ in range(20)]
+        layouts.append(([0.0, 0.3, 0.3, 3.0] + [0.3] * 7, [0.0] + [0.3] * 10))
+        for widths, heights in layouts:
+            xs = list(itertools.accumulate(widths))
+            ys = list(itertools.accumulate(heights))
+            sub_areas = [Rect(x0, y0, x1, y1) for y0, y1 in zip(ys, ys[1:])
+                         for x0, x1 in zip(xs, xs[1:])]
+            area = Rect(xs[0], ys[0], xs[-1], ys[-1])
+            self.assert_scan(self.probes(rng, sub_areas, area), sub_areas)
+
+    def test_other_lists_scan_every_center(self):
+        rng = random.Random(5)
+        area = Rect(0.0, 0.0, 3.0, 3.0)
+        shuffled = make_grid(area, 10, 10)
+        rng.shuffle(shuffled)
+        reversed_rows = make_grid(area, 10, 10)[::-1]
+        grid = make_grid(area, 10, 10)
+        reversed_columns = [r for k in range(0, 100, 10) for r in grid[k:k + 10][::-1]]
+        repeated_column = make_grid(area, 10, 10)
+        repeated_column[1::10] = repeated_column[0::10]
+        short = make_grid(area, 10, 10)[:-1]
+        for sub_areas in (shuffled, reversed_rows, reversed_columns,
+                          repeated_column, short):
+            self.assert_scan(self.probes(rng, sub_areas, area), sub_areas,
+                             bracketed=False)
+
+    def test_errors_are_unchanged(self):
+        with pytest.raises(ValueError, match="^at least one UAV position is required$"):
+            geographic_association([(1.0, 1.0)], [])
+        grid = make_grid(Rect(0.0, 0.0, 10.0, 10.0), 10, 10)
+        users = [(1.0, 1.0), (math.nan, 2.0)]
+        with pytest.raises(ValueError, match="^user 1 has a non-finite coordinate"):
+            geographic_association(users, grid)
+        grid[4] = Rect(math.nan, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^UAV position 4 has a non-finite"):
+            geographic_association([(1.0, 1.0)], grid)
+
+
 class TestLocateUavs:
     def test_single_user_cluster_sits_above_user(self):
         assoc = CellAssociation([[0], []])
