@@ -21,13 +21,14 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, get_type_hints
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .channel import Requirements, VlcParams
 from .optimizer import DeploymentSolution
-from .scenario import (SCHEMES, MonteCarloSummary, Scenario, ScenarioConfig,
-                       per_user_report, run_monte_carlo_batches, solve_scenario)
+from .scenario import (SCHEMES, Scenario, ScenarioConfig, per_user_report,
+                       run_monte_carlo_batches, solve_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,51 +89,37 @@ def _parse_float(field_name: str, raw: str) -> float:
     return value
 
 
-def _parse_grid(raw: str) -> tuple[int, int]:
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"grid: expected KXxKY like 2x2, got {raw!r}")
-    return _parse_int("grid", parts[0]), _parse_int("grid", parts[1])
+def _parse_scheme(field_name: str, raw: str) -> str:
+    name = raw.strip()
+    if name not in SCHEMES:
+        raise ConfigError(
+            f"{field_name}: unknown scheme {name!r}; expected from {SCHEMES}")
+    return name
 
 
-def _parse_heights(raw: str) -> list[float]:
-    values = [_parse_float("heights", p) for p in raw.split(",") if p.strip()]
+def _parse_list(sep: str, parse_item, count: int, form: str,
+                field_name: str, raw: str):
+    # exactly count items as a tuple, or with count 0 a non-empty list with
+    # blank items skipped; a letter sep (grid's 2x2) matches in either case
+    parts = (raw.lower() if sep.isalpha() else raw).split(sep)
+    if count and len(parts) != count:
+        raise ConfigError(f"{field_name}: expected {form}, got {raw!r}")
+    values = [parse_item(field_name, p) for p in parts if count or p.strip()]
     if not values:
-        raise ConfigError("heights: empty list")
-    return values
+        raise ConfigError(f"{field_name}: empty list")
+    return tuple(values) if count else values
 
 
-def _parse_sweep(raw: str) -> tuple[float, float, float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"cth_sweep: expected FROM:TO:STEP, got {raw!r}")
-    return tuple(_parse_float("cth_sweep", p) for p in parts)
-
-
-def _parse_schemes(raw: str) -> list[str]:
-    names = [p.strip() for p in raw.split(",") if p.strip()]
-    if not names:
-        raise ConfigError("schemes: empty list")
-    for name in names:
-        if name not in SCHEMES:
-            raise ConfigError(
-                f"schemes: unknown scheme {name!r}; expected from {SCHEMES}")
-    return names
-
-
-# RunConfig fields with their own syntax; every other field parses by its
-# declared type.  Config-file keys and flags both go through _parse_field.
-_FIELD_TYPES = get_type_hints(RunConfig)
-_SPECIAL_PARSERS = {"grid": _parse_grid, "heights": _parse_heights,
-                    "cth_sweep": _parse_sweep, "schemes": _parse_schemes}
-_TYPE_PARSERS = {int: _parse_int, float: _parse_float}
-
-
-def _parse_field(name: str, raw: str):
-    if name in _SPECIAL_PARSERS:
-        return _SPECIAL_PARSERS[name](raw)
-    parse = _TYPE_PARSERS.get(_FIELD_TYPES[name])
-    return parse(name, raw) if parse is not None else raw
+# The parser of every config key, flags and config files alike: by its
+# RunConfig type, a str kept as written, and the lists by their syntax.
+_PARSERS = {name: {int: _parse_int, float: _parse_float}.get(
+                hint, lambda field_name, raw: raw)
+            for name, hint in get_type_hints(RunConfig).items()}
+_PARSERS.update(
+    grid=partial(_parse_list, "x", _parse_int, 2, "KXxKY like 2x2"),
+    heights=partial(_parse_list, ",", _parse_float, 0, ""),
+    cth_sweep=partial(_parse_list, ":", _parse_float, 3, "FROM:TO:STEP"),
+    schemes=partial(_parse_list, ",", _parse_scheme, 0, ""))
 
 
 def apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -149,17 +136,17 @@ def apply_config_file(cfg: RunConfig, path: str) -> None:
             raise ConfigError(f"config {path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _PARSERS:
             raise ConfigError(f"config {path}:{lineno}: unknown key {key!r}")
-        setattr(cfg, key, _parse_field(key, value))
+        setattr(cfg, key, _PARSERS[key](key, value))
 
 
 # Library messages start with the field name, and errors report it as the
-# config key: these four are spelled differently, and threshold faults are
+# config key: these five are spelled differently, and threshold faults are
 # reported as "thresholds" (a sweep point's rate threshold as "cth_sweep").
 _CONFIG_KEYS = {"detector_area": "detector_area_m2", "noise_std": "noise_std_a",
                 "uav_height": "heights", "num_users": "users",
-                "illum_threshold": "thresholds"}
+                "base_seed": "seed", "illum_threshold": "thresholds"}
 
 
 def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
@@ -205,11 +192,7 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
 
 
 def workers_from_env() -> int:
-    raw = os.environ.get("UAVVLC_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"UAVVLC_THREADS: expected an integer, got {raw!r}") from None
+    workers = _parse_int("UAVVLC_THREADS", os.environ.get("UAVVLC_THREADS", "1"))
     if workers < 1:
         raise ConfigError("UAVVLC_THREADS: must be >= 1")
     return workers
@@ -293,21 +276,14 @@ def run_single(cfg: RunConfig, families: list[ScenarioConfig],
     return status
 
 
-def _batches(cfg: RunConfig, families: list[ScenarioConfig]
-             ) -> Iterator[tuple[float, float, MonteCarloSummary]]:
-    """A Monte Carlo batch per family, with its height and rate threshold."""
-    summaries = run_monte_carlo_batches(families, cfg.runs, schemes=cfg.schemes,
-                                        workers=workers_from_env())
-    for family, summary in zip(families, summaries):
-        yield family.params.uav_height, family.reqs.rate_threshold, summary
-
-
 def run_montecarlo(cfg: RunConfig, families: list[ScenarioConfig],
                    out_dir: Path) -> int:
     status = EXIT_OK
     rows = []
     payload = {"config": _config_record(cfg), "heights": {}}
-    for height, _, summary in _batches(cfg, families):
+    for summary in run_monte_carlo_batches(families, cfg.runs, cfg.schemes,
+                                           workers_from_env()):
+        height = summary.config.params.uav_height
         height_record = {"reductions_percent": dict(summary.reductions),
                          "schemes": {}}
         for scheme in cfg.schemes:
@@ -349,7 +325,10 @@ def run_sweep(cfg: RunConfig, families: list[ScenarioConfig],
               out_dir: Path) -> int:
     status = EXIT_OK
     rows = []
-    for height, cth, summary in _batches(cfg, families):
+    for summary in run_monte_carlo_batches(families, cfg.runs, cfg.schemes,
+                                           workers_from_env()):
+        cth = summary.config.reqs.rate_threshold
+        height = summary.config.params.uav_height
         for scheme in cfg.schemes:
             st = summary.stats[scheme]
             rows.append(["rate_threshold_bits", _fmt(cth), scheme,
@@ -413,11 +392,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         apply_config_file(cfg, args.config)
-    for name in _FIELD_TYPES:
+    for name, parse in _PARSERS.items():
         raw = getattr(args, name, None)
         if raw is not None:
             # repeated --height flags arrive as a list: the file's comma list
-            setattr(cfg, name, _parse_field(
+            setattr(cfg, name, parse(
                 name, ",".join(raw) if isinstance(raw, list) else raw))
     return cfg
 
@@ -447,12 +426,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        families = validate_config(cfg)
-        if cfg.mode == "fig4":
-            # threshold pairs where rate (case 1) and illumination
-            # (case 2) tend to be the binding constraint, overridable by file
-            families = [_case_config(cfg, args.case1, 1.2, 0.1),
-                        _case_config(cfg, args.case2, 1.8, 0.6)]
+        # fig4 solves only its two cases, each validated with its own
+        # thresholds: rate (case 1) and illumination (case 2) tend to bind
+        families = ([_case_config(cfg, args.case1, 1.2, 0.1),
+                     _case_config(cfg, args.case2, 1.8, 0.6)]
+                    if cfg.mode == "fig4" else validate_config(cfg))
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[cfg.mode](cfg, families, out_dir)

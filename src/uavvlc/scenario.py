@@ -179,8 +179,8 @@ def per_user_report(solution: DeploymentSolution,
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to regenerate a family of scenarios; construction
-    rejects a bad area_size, grid, num_users, max_iters or rel_tol, and
-    thresholds whose power at the farthest reachable user overflows."""
+    rejects a bad area_size, grid, num_users, base_seed, max_iters or rel_tol,
+    and thresholds whose power at the farthest reachable user overflows."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)
@@ -194,6 +194,8 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_layout(self.area_size, self.num_users, self.params, self.reqs)
         _check_grid(*self.grid)
+        if not self.base_seed >= 0:     # Random(-k) draws as Random(k) does
+            raise ValueError("base_seed must be >= 0")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.rel_tol < math.inf:
@@ -208,6 +210,8 @@ class ScenarioConfig:
     def scenario(self, run_index: int = 0) -> Scenario:
         """The family's scenario number run_index, seeded base_seed + run_index."""
         seed = self.base_seed + run_index
+        if seed < 0:
+            raise ValueError(f"base_seed + run_index must be >= 0, got {seed}")
         rng, size = random.Random(seed), self.area_size
         users = tuple(Point2(rng.uniform(0.0, size), rng.uniform(0.0, size))
                       for _ in range(self.num_users))

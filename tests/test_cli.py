@@ -17,7 +17,8 @@ from uavvlc.cli import (MAX_SWEEP_POINTS, MC_COLUMNS, PER_USER_COLUMNS,
                         SWEEP_COLUMNS, ConfigError, RunConfig, _sweep_values,
                         apply_config_file, main, validate_config,
                         workers_from_env)
-from uavvlc.scenario import generate_scenario, run_monte_carlo, solve_scenario
+from uavvlc.scenario import (SCHEMES, generate_scenario, run_monte_carlo,
+                             solve_scenario)
 
 
 def run_cli(*args):
@@ -113,6 +114,7 @@ class TestValidateConfig:
         ("noise_std_a", -1.0, "^noise_std_a: "),
         ("users", 0, "^users: "),
         ("max_iters", 0, "^max_iters: "),
+        ("seed", -1, "^seed: "),
     ])
     def test_rejects_and_names_field(self, field, value, needle):
         cfg = RunConfig()
@@ -248,8 +250,50 @@ class TestOutOfRange:
         assert "beyond floating-point range" in capsys.readouterr().err
 
 
+class TestListForms:
+    """A list key in the wrong form exits 1 with one line that names it."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("grid = 2x2x2", "grid: expected KXxKY like 2x2, got '2x2x2'"),
+        ("grid = 2", "grid: expected KXxKY like 2x2, got '2'"),
+        ("heights = ,", "heights: empty list"),
+        ("cth_sweep = 1:2", "cth_sweep: expected FROM:TO:STEP, got '1:2'"),
+        ("schemes = ,", "schemes: empty list"),
+        ("schemes = best",
+         f"schemes: unknown scheme 'best'; expected from {SCHEMES}"),
+    ])
+    def test_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "list.cfg"
+        path.write_text(text + "\n")
+        code = run_cli("--config", path, "--out", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_case_and_blank_items(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("grid = 3X2\nheights = 8,,12,\nschemes = sa2,,sa1\n")
+        cfg = RunConfig()
+        apply_config_file(cfg, str(path))
+        assert (cfg.grid, cfg.heights, cfg.schemes) == (
+            (3, 2), [8.0, 12.0], ["sa2", "sa1"])
+
+
+class TestNegativeSeed:
+    """random.Random(-k) seeds as Random(k) does, so a negative seed would
+    repeat other seeds' scenarios; it exits 1 instead."""
+
+    @pytest.mark.parametrize("args", [
+        ("--seed", -4),
+        ("--mode", "montecarlo", "--seed", -5, "--runs", 10)])
+    def test_flag(self, tmp_path, capsys, args):
+        code = run_cli(*args, "--out", tmp_path / "out")
+        TestBadNumbers.assert_config_error(code, capsys, "seed")
+        assert not (tmp_path / "out").exists()
+
+
 # The numeric keys a single-mode run reads, other than users and grid,
-# which the property draws from valid ranges; seed takes any integer and
+# which the property draws from valid ranges; seed takes any integer >= 0 and
 # cth_sweep is read in sweep mode only.
 PROPERTY_KEYS = sorted(set(NUMERIC_KEYS)
                        - {"seed", "users", "grid", "cth_sweep"})
@@ -638,6 +682,28 @@ class TestFig4Mode:
         _, rows = read_csv(out / "fig4_case1.csv")
         assert all(row[6] == "2.5" for row in rows)
 
+    def test_infeasible_cases_exit_two(self, tmp_path, capsys):
+        # at 1 m a sub-area corner is outside the field of view in both cases
+        out = tmp_path / "out"
+        assert run_cli("--mode", "fig4", "--height", 1, "--out", out) == 2
+        assert capsys.readouterr().out == ("case1: infeasible\n"
+                                           "case2: infeasible\n")
+        assert not list(out.glob("fig4_*.csv"))
+
+    def test_main_thresholds_are_not_read(self, tmp_path, capsys):
+        # each case sets both thresholds, so the main config's are not
+        # checked in fig4 mode; single mode still rejects them
+        path = tmp_path / "big.cfg"
+        path.write_text("rate_threshold_bits = 1e300\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", path, "--mode", "fig4", "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fig4_case1.csv", "fig4_case2.csv"]
+        capsys.readouterr()
+        code = run_cli("--config", path, "--mode", "single",
+                       "--out", tmp_path / "single")
+        TestBadNumbers.assert_config_error(code, capsys, "thresholds")
+
 
 class TestMainEntry:
     def test_help_exits_zero(self, capsys):
@@ -697,6 +763,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == f"error: {key}: a fig4 case file cannot set {key}\n"
         assert not list(tmp_path.glob("*out/*"))
+
+    def test_unknown_flag_exits_one(self, capsys):
+        # through _Parser.error, not argparse's exit status 2
+        assert main(["--bogus", "1"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and "--bogus" in err, err
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

@@ -29,7 +29,7 @@ ILLUM_REQ = 0.1
 # One bad value per ScenarioConfig field that construction checks.
 BAD_CONFIG_FIELDS = [("max_iters", 0), ("rel_tol", -1e-9),
                      ("rel_tol", math.nan), ("num_users", 0),
-                     ("area_size", math.nan)]
+                     ("area_size", math.nan), ("base_seed", -1)]
 
 
 class TestMakeGrid:
@@ -384,6 +384,16 @@ class TestScenarioConfig:
                 seed=40 + k, area_size=20.0, grid=(3, 2), num_users=9,
                 params=params, reqs=reqs)
         assert config.scenario() == config.scenario(0)
+
+    def test_rejects_a_negative_seed(self):
+        # random.Random(-k) draws what Random(k) draws, so a negative seed
+        # would repeat the scenarios of a positive one without a word
+        with pytest.raises(ValueError, match="^base_seed "):
+            generate_scenario(-4)
+        config = ScenarioConfig(base_seed=3)
+        assert config.scenario(-3) == generate_scenario(0)
+        with pytest.raises(ValueError, match="^base_seed "):
+            config.scenario(-4)
 
     @pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
     def test_rejects_bad_field(self, name, value):
