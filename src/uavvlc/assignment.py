@@ -83,11 +83,17 @@ def greedy_min_size_clustering(
     scans only the UAVs its grid cell lists, in index order, which gives a
     full scan's clusters.  There, for exponents of at least 1, a user first
     joins the first disk holding it at zero growth among those its cell
-    of a grid a third as fine lists.  A NaN or infinite coordinate raises
-    ValueError.
+    of a grid a third as fine lists.  A NaN or infinite coordinate, a z_u
+    not finite and > 0, an exponent not finite and >= 0, or a
+    fov_ground_radius not > 0 raises ValueError.
     """
-    if z_u <= 0.0:
-        raise ValueError("z_u must be > 0")
+    # every comparison is written so that NaN fails it
+    if not 0.0 < z_u < math.inf:
+        raise ValueError("z_u must be finite and > 0")
+    if not 0.0 <= exponent < math.inf:
+        raise ValueError("exponent must be finite and >= 0")
+    if not fov_ground_radius > 0.0:
+        raise ValueError("fov_ground_radius must be > 0")
     if not uav_centers:
         raise ValueError("at least one UAV center is required")
     centers = _finite_points(uav_centers, "UAV center")

@@ -174,7 +174,7 @@ def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:
 
 def capacity_lower_bound(power: float, gain: float, params: VlcParams) -> float:
     """Rate lower bound 1/2 log2(1 + (e/2pi) (xi P h / sigma_w)^2), bits."""
-    if power < 0.0 or gain < 0.0:
+    if not (power >= 0.0 and gain >= 0.0):    # NaN fails both
         raise ValueError("power and gain must be >= 0")
     snr_amp = params.illum_factor * power * gain / params.noise_std
     return 0.5 * math.log1p(math.e / _TWO_PI * snr_amp * snr_amp) / _LN2
@@ -221,7 +221,7 @@ def _unit_power(r: float, exponent: float, params: VlcParams) -> float:
     # (r^2 + z_u^2)^(exponent / 2), the power at a unit prefactor; inf past
     # the FOV ground radius.  Thresholds reach the power only through the
     # prefactor, so one geometry priced by _powers serves every threshold.
-    if r < 0.0:
+    if not r >= 0.0:    # NaN fails it
         raise ValueError("horizontal distance must be >= 0")
     if r > params.fov_ground_radius:
         return math.inf

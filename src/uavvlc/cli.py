@@ -158,6 +158,9 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
     # each comparison is written so that NaN fails it
     if not cfg.runs >= 1:
         raise ConfigError(f"runs: must be >= 1, got {cfg.runs}")
+    repeats = [s for k, s in enumerate(cfg.schemes) if s in cfg.schemes[:k]]
+    if repeats and cfg.mode != "fig4":    # fig4 does not read schemes
+        raise ConfigError(f"schemes: scheme {repeats[0]!r} is repeated")
     lo, hi, step = cfg.cth_sweep
     if not (0.0 <= lo <= hi < math.inf and 0.0 < step < math.inf):
         raise ConfigError("cth_sweep: need finite 0 <= FROM <= TO and STEP > 0")

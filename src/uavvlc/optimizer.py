@@ -122,10 +122,12 @@ def geographic_association(users: Sequence[Sequence[float]],
 def locate_uavs(association: CellAssociation,
                 users: Sequence[Sequence[float]],
                 previous_positions: Sequence[Sequence[float]]) -> list[Point2]:
-    """SED center of each cluster; empty clusters keep their previous position."""
+    """SED center of each cluster; empty clusters keep their previous position.
+    A NaN or infinite coordinate raises ValueError."""
     if len(association.clusters) != len(previous_positions):
         raise ValueError("association and previous_positions disagree on UAV count")
-    positions = [Point2(float(p[0]), float(p[1])) for p in previous_positions]
+    positions = [Point2(x, y) for x, y in
+                 _finite_points(previous_positions, "UAV position")]
     for i, cluster in enumerate(association.clusters):
         if cluster:
             disk = smallest_enclosing_disk([users[j] for j in cluster])
@@ -227,8 +229,11 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
     # powers, so the result is the same at every positive prefactor.
     if not users:
         raise ValueError("at least one user is required")
-    if max_iters < 1:
+    # each comparison is written so that NaN fails it
+    if not max_iters >= 1:
         raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and >= 0")
     fixed, best = start
     trace = [("locate", best.units)]
     if math.inf in best.units:
@@ -288,7 +293,8 @@ def optimize(users: Sequence[Sequence[float]],
     relocated positions leave a user outside its UAV's field of view (a
     rounding step past the edge) also ends the descent, keeping the best
     state so far.  From sub-area centers this is solve_scenario's
-    "proposed", bit for bit.
+    "proposed", bit for bit.  A max_iters below 1, or a rel_tol that is
+    not finite and >= 0, raises ValueError.
     """
     assoc = nearest_position_association(users, uav_initial_positions)
     start = _start(users, uav_initial_positions, assoc, params)

@@ -43,7 +43,8 @@ def default_requirements() -> Requirements:
 
 def make_grid(area: Rect, grid_x: int, grid_y: int) -> list[Rect]:
     """Split area into grid_x * grid_y equal rectangles, row-major from y0."""
-    _check_grid(grid_x, grid_y)
+    if not (grid_x >= 1 and grid_y >= 1):
+        raise ValueError("grid dimensions must be >= 1")
     dx = area.width / grid_x
     dy = area.height / grid_y
     return [Rect(area.x0 + ix * dx, area.y0 + iy * dy,
@@ -61,27 +62,20 @@ class Scenario:
     reqs: Requirements
 
     @functools.cached_property
-    def _shared_start(self) -> tuple[_Layout, _Layout]:
-        # sa1's and uavoo's layouts, where proposed starts, at any thresholds;
-        # per instance, as equal scenarios may differ in sign bits (0.0 == -0.0)
-        return _start(self.users, [r.center() for r in self.sub_areas],
-                      geographic_association(self.users, self.sub_areas),
-                      self.params)
-
-    @functools.cached_property
-    def _sa2_layout(self) -> _Layout:
-        # sa2's layout at any thresholds: each UAV at its sub-area center
-        # pays for the corner, users or not, so every cluster stays empty
+    def _layouts(self) -> dict[str, _Layout]:
+        # Each fixed scheme's layout at any thresholds, sa1 and uavoo where
+        # proposed starts; per instance, as equal scenarios may differ in sign
+        # bits (0.0 == -0.0).  Under sa2 each UAV at its sub-area center pays
+        # for the corner, users or not, so every cluster stays empty
+        centers = [r.center() for r in self.sub_areas]
+        sa1, uavoo = _start(self.users, centers,
+                            geographic_association(self.users, self.sub_areas),
+                            self.params)
         exponent = _exponent(self.params)
-        return _Layout([r.center() for r in self.sub_areas],
-                       CellAssociation([[] for _ in self.sub_areas]),
-                       [_unit_power(r.half_diagonal(), exponent, self.params)
-                        for r in self.sub_areas])
-
-
-def _check_grid(grid_x: int, grid_y: int) -> None:
-    if not (grid_x >= 1 and grid_y >= 1):
-        raise ValueError("grid dimensions must be >= 1")
+        sa2 = _Layout(centers, CellAssociation([[] for _ in centers]),
+                      [_unit_power(r.half_diagonal(), exponent, self.params)
+                       for r in self.sub_areas])
+        return {"sa1": sa1, "uavoo": uavoo, "sa2": sa2}
 
 
 def _check_layout(area_size: float, num_users: int, params: VlcParams,
@@ -125,7 +119,13 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     sa1 and uavoo are proposed's first two states, and sa2 a layout that
     reads no user: each scenario computes them once and returns copies,
     equal to a fresh instance's solve and to optimize(users, centers) to
-    the bit whatever the order of the calls."""
+    the bit whatever the order of the calls.
+
+    max_iters and rel_tol are this call's: a Scenario does not carry its
+    ScenarioConfig's, so run_monte_carlo on a config with max_iters=1 may
+    give another proposed than solve_scenario(config.scenario(k),
+    "proposed"), which runs up to 20 rounds.  A max_iters below 1 or a
+    rel_tol not finite and >= 0 raises ValueError."""
     prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
     return _priced(*_layout(scenario, scheme, max_iters, rel_tol), prefactor)
 
@@ -133,18 +133,15 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
 def _layout(scenario: Scenario, scheme: str, max_iters: int, rel_tol: float
             ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
     # The scheme's threshold-free layout and (step, units) trace; the
-    # scenario's reqs are not read.  proposed descends from the shared
-    # start, and every other scheme is a cached layout.
-    if scheme == "proposed":
-        return _descend(scenario.users, scenario._shared_start, scenario.params,
-                        max_iters, rel_tol)
-    if scheme in ("uavoo", "sa1"):
-        layout = scenario._shared_start[scheme == "uavoo"]
-    elif scheme == "sa2":
-        layout = scenario._sa2_layout
-    else:
+    # scenario's reqs are not read.  proposed descends from sa1's and
+    # uavoo's layouts, and every other scheme is a cached layout.
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return layout, [(scheme, layout.units)]
+    layouts = scenario._layouts
+    if scheme == "proposed":
+        return _descend(scenario.users, (layouts["sa1"], layouts["uavoo"]),
+                        scenario.params, max_iters, rel_tol)
+    return layouts[scheme], [(scheme, layouts[scheme].units)]
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_layout(self.area_size, self.num_users, self.params, self.reqs)
-        _check_grid(*self.grid)
+        self._grid    # make_grid rejects a bad grid
         if not self.base_seed >= 0:     # Random(-k) draws as Random(k) does
             raise ValueError("base_seed must be >= 0")
         if not self.max_iters >= 1:
@@ -314,14 +311,17 @@ def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
     Configs equal but for reqs draw the same scenarios, and the thresholds
     enter a solve only through the power prefactor, so each run of such a
     group solves its geometry once and prices every reqs from it.  Each
-    summary equals run_monte_carlo(config, ...) bit for bit.
+    summary equals run_monte_carlo(config, ...) bit for bit.  An unknown or
+    repeated scheme raises ValueError.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
-    for scheme in schemes:
+    schemes = tuple(schemes)
+    for k, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    schemes = tuple(schemes)
+        if scheme in schemes[:k]:    # the stats keep one entry per scheme
+            raise ValueError(f"scheme {scheme!r} is repeated")
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         key = tuple(getattr(config, f.name) for f in fields(config)

@@ -309,6 +309,40 @@ class TestGreedyNonFinite:
             greedy([(0.0, 0.0), (5.0, bad)], [(1.0, 1.0)])
 
 
+
+class TestGreedyBadParameters:
+    # NaN used to put every user on UAV 0, an infinite height or NaN
+    # exponent blamed user 0 for lying outside every field of view, a
+    # negative exponent put the user 0.1 m from UAV 0 on UAV 1, and a NaN
+    # radius served users past any field of view
+    CENTERS = [(0.0, 0.0), (5.0, 0.0)]
+    USERS = [(0.1, 0.0), (4.9, 0.0), (2.5, 0.0)]
+
+    @pytest.mark.parametrize("z_u", [math.nan, math.inf, 0.0, -8.0])
+    def test_height_rejected(self, z_u):
+        with pytest.raises(ValueError, match="^z_u must be finite and > 0$"):
+            greedy_min_size_clustering(self.CENTERS, self.USERS, EXPONENT, z_u)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -2.0])
+    def test_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError,
+                           match="^exponent must be finite and >= 0$"):
+            greedy_min_size_clustering(self.CENTERS, self.USERS, exponent, Z_U)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -10.0])
+    def test_fov_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="^fov_ground_radius must be > 0$"):
+            greedy(self.CENTERS, [(25.0, 0.0)], fov_ground_radius=radius)
+
+    def test_edges_of_the_ranges_allowed(self):
+        assert greedy(self.CENTERS, [(25.0, 0.0)],
+                      fov_ground_radius=math.inf).clusters == [[], [0]]
+        # a zero exponent prices every disk at 1, so UAV 0 takes everyone
+        assert greedy_min_size_clustering(
+            self.CENTERS, [(4.9, 0.0)], 0.0, Z_U).clusters == [[0], []]
+        with pytest.raises(InfeasibleError):
+            greedy(self.CENTERS, [(25.0, 0.0)], fov_ground_radius=10.0)
+
 class TestGreedyVersusExhaustive:
     def test_never_beats_the_optimum_and_often_matches(self):
         rng = random.Random(42)

@@ -287,6 +287,21 @@ class TestCapacityAndMinPower:
                                                                   rel=1e-11)
 
 
+    # each used to return NaN
+    @pytest.mark.parametrize("power,gain", [(math.nan, H_NADIR), (1e-3, math.nan),
+                                            (-1e-3, H_NADIR), (1e-3, -H_NADIR)])
+    def test_capacity_rejects_a_bad_power_or_gain(self, power, gain):
+        with pytest.raises(ValueError, match="^power and gain must be >= 0$"):
+            capacity_lower_bound(power, gain, table_params())
+
+    @pytest.mark.parametrize("r", [math.nan, -1.0])
+    def test_min_power_rejects_a_bad_distance(self, r):
+        p = table_params()
+        coeffs = constraint_coefficients(p, Requirements(2.0, 0.1))
+        with pytest.raises(ValueError,
+                           match="^horizontal distance must be >= 0$"):
+            min_power_for_radius(r, coeffs, p)
+
 class TestConstraintCoefficients:
     def test_reference_values(self):
         c = constraint_coefficients(table_params(), Requirements(2.0, 0.1))

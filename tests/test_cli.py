@@ -279,6 +279,34 @@ class TestListForms:
             (3, 2), [8.0, 12.0], ["sa2", "sa1"])
 
 
+
+class TestRepeatedScheme:
+    """A repeated scheme used to write a CSV row per listing but one JSON
+    entry, and to solve it twice per run; the modes that read schemes exit
+    1 with one line, and fig4, which does not, still runs."""
+
+    @pytest.mark.parametrize("mode", ["single", "montecarlo", "sweep"])
+    def test_flag_exits_one(self, tmp_path, capsys, mode):
+        code = run_cli("--mode", mode, "--runs", 5, "--schemes",
+                       "proposed,proposed,sa1", "--out", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: schemes: scheme 'proposed' is repeated\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = montecarlo\nruns = 5\nschemes = sa2, uavoo, sa2\n")
+        code = run_cli("--config", path, "--out", tmp_path / "out")
+        TestBadNumbers.assert_config_error(code, capsys, "schemes")
+
+    def test_fig4_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--mode", "fig4", "--users", 6, "--schemes", "sa1,sa1",
+                       "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fig4_case1.csv", "fig4_case2.csv"]
+
 class TestNegativeSeed:
     """random.Random(-k) seeds as Random(k) does, so a negative seed would
     repeat other seeds' scenarios; it exits 1 instead."""

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _sed_two_boundary as sed_two_boundary_reference
 from oracles import hull_reference, sed_bruteforce, sed_unfiltered
 from uavvlc.geometry import (Disk, Point2, Rect, _hull_vertices,
-                             _shuffle_order, smallest_enclosing_disk)
+                             _sed_two_boundary, _shuffle_order,
+                             smallest_enclosing_disk)
 
 
 def dist(a, b):
@@ -202,6 +204,40 @@ class TestSedProperty:
         if min_gap(pts) >= 1e-6:
             assert disk == sed_unfiltered(pts, seed)
 
+
+
+class TestTwoBoundaryExits:
+    """The two-boundary step's exits that random sets hardly reach: each
+    rounding-only path gives the oracle's disk bit for bit."""
+
+    P, Q = (0.0, 0.0), (2.0, 0.0)
+
+    def disk(self, *outside):
+        pts = [self.P, *outside, self.Q]
+        got = _sed_two_boundary(pts, len(pts) - 1, self.P, self.Q)
+        assert got == sed_two_boundary_reference(pts, self.P, self.Q)
+        return got
+
+    def test_outside_point_on_the_line_is_skipped(self):
+        # (5, 0) lies past the diameter disk, exactly on the line pq
+        assert self.disk((5.0, 0.0)) == (1.0, 0.0, 1.0)
+
+    def test_far_nearly_collinear_point_is_skipped(self):
+        # on a side of pq by 2e-12, below the determinant guard
+        assert self.disk((100.0, 1e-12)) == (1.0, 0.0, 1.0)
+        assert self.disk((-100.0, -1e-12), (1.0, 1.5))[1] > 0.0
+
+    @pytest.mark.parametrize("above,below,keep_above", [
+        ((1.0, 1.5), (1.0, -1.2), False),
+        ((1.0, 1.2), (1.0, -1.5), True),
+        ((1.0, 1.5), (1.0, -1.5), True),    # a tie keeps the left circle
+        ((0.5, 3.0), (1.7, -0.9), False)])
+    def test_outside_points_on_both_sides_keep_the_smaller_circle(
+            self, above, below, keep_above):
+        for outside in ((above, below), (below, above)):
+            x, y, r = self.disk(*outside)
+            assert (y > 0.0) == keep_above
+            assert r > 1.0
 
 class TestNonFinite:
     # a NaN at index 0, axis 0 used to be left out of the disk silently

@@ -249,6 +249,14 @@ class TestLocateUavs:
         with pytest.raises(ValueError):
             locate_uavs(CellAssociation([[0]]), [(0.0, 0.0)], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_previous_position_rejected(self, bad):
+        # an empty cluster used to keep Point2(nan, 0.0)
+        with pytest.raises(ValueError,
+                           match="^UAV position 1 has a non-finite"):
+            locate_uavs(CellAssociation([[0], []]), [(3.0, 4.0)],
+                        [(0.0, 0.0), (bad, 0.0)])
+
 
 class TestEvaluatePower:
     def test_all_nadir_users(self):
@@ -619,6 +627,18 @@ class TestSharedDescent:
         assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9),
                                        prefactor))
 
+
+
+class TestDescentSettings:
+    # ScenarioConfig rejects these, but solve_scenario and optimize used to
+    # run with them: NaN or a negative value never stops on the tolerance
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1e-9, math.inf])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        scenario = generate_scenario(0)
+        with pytest.raises(ValueError, match="^rel_tol must be finite and >= 0$"):
+            solve_scenario(scenario, "proposed", rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="^rel_tol must be finite and >= 0$"):
+            optimize(scenario.users, CENTERS, PARAMS, REQS, rel_tol=rel_tol)
 
 class TestBaselines:
     def test_sa1_nadir_users(self):

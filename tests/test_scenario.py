@@ -510,6 +510,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(ScenarioConfig(), num_runs=1, schemes=("nope",))
 
+    @pytest.mark.parametrize("schemes", [("proposed", "proposed", "sa1"),
+                                         ("sa2", "uavoo", "sa2")])
+    def test_rejects_a_repeated_scheme(self, schemes):
+        # stats kept one entry per scheme while the runs solved it twice
+        with pytest.raises(ValueError,
+                           match=f"^scheme '{schemes[0]}' is repeated$"):
+            run_monte_carlo_batches([ScenarioConfig()], 1, schemes)
+
 
 class TestMonteCarloBatches:
     """Configs that differ only in reqs share each run's geometry; every
