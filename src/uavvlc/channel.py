@@ -174,8 +174,8 @@ def channel_gain(uav_pos, user_pos, params: VlcParams) -> float:
 
 def capacity_lower_bound(power: float, gain: float, params: VlcParams) -> float:
     """Rate lower bound 1/2 log2(1 + (e/2pi) (xi P h / sigma_w)^2), bits."""
-    if not (power >= 0.0 and gain >= 0.0):    # NaN fails both
-        raise ValueError("power and gain must be >= 0")
+    if not (0.0 <= power < math.inf and 0.0 <= gain < math.inf):    # NaN fails
+        raise ValueError("power and gain must be finite and >= 0")
     snr_amp = params.illum_factor * power * gain / params.noise_std
     return 0.5 * math.log1p(math.e / _TWO_PI * snr_amp * snr_amp) / _LN2
 
@@ -214,11 +214,16 @@ def constraint_coefficients(params: VlcParams,
     m_const = (_TWO_PI ** 1.5 * params.noise_std
                * math.sqrt(math.expm1(2.0 * reqs.rate_threshold * _LN2) / math.e))
     return ConstraintCoefficients(v_illum=v_illum, rate_ratio=m_const / n_const,
-                                  exponent=m + 3.0)
+                                  exponent=_exponent(params))
 
 
-def _unit_power(r: float, exponent: float, params: VlcParams) -> float:
-    # (r^2 + z_u^2)^(exponent / 2), the power at a unit prefactor; inf past
+def _exponent(params: VlcParams) -> float:
+    # the m + 3 of the d^(m+3) power law
+    return params.lambertian_m + 3.0
+
+
+def _unit_power(r: float, params: VlcParams) -> float:
+    # (r^2 + z_u^2)^((m + 3) / 2), the power at a unit prefactor; inf past
     # the FOV ground radius.  Thresholds reach the power only through the
     # prefactor, so one geometry priced by _powers serves every threshold.
     if not r >= 0.0:    # NaN fails it
@@ -226,7 +231,7 @@ def _unit_power(r: float, exponent: float, params: VlcParams) -> float:
     if r > params.fov_ground_radius:
         return math.inf
     z = params.uav_height
-    return (r * r + z * z) ** (0.5 * exponent)
+    return (r * r + z * z) ** (0.5 * _exponent(params))
 
 
 def _powers(prefactor: float, units: list[float]) -> list[float]:
@@ -244,5 +249,5 @@ def min_power_for_radius(r: float, coeffs: ConstraintCoefficients,
     Returns inf when r falls outside the FOV ground radius, where no power
     serves the user, whatever the prefactor.
     """
-    unit = _unit_power(r, coeffs.exponent, params)
+    unit = _unit_power(r, params)
     return unit if unit == math.inf else coeffs.prefactor * unit

@@ -250,7 +250,7 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
 def _write_per_user_csv(path: Path, scenario: Scenario,
                         solution: DeploymentSolution) -> None:
     users, reqs = scenario.users, scenario.reqs
-    reports = per_user_report(solution, users, scenario.params, reqs)
+    reports = per_user_report(solution, users, scenario.params)
     # reports come in user index order, one per user
     _write_csv(path, PER_USER_COLUMNS, (
         [rep.user_index, _fmt(u.x), _fmt(u.y), rep.serving_uav,

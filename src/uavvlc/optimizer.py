@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
-                      VlcParams, _powers, _unit_power, constraint_coefficients)
+                      VlcParams, _exponent, _powers, _unit_power,
+                      constraint_coefficients)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
 
@@ -145,8 +146,7 @@ class _Layout(NamedTuple):
 
 def _units(positions: Sequence[Sequence[float]],
            association: CellAssociation,
-           users: Sequence[Sequence[float]],
-           exponent: float, params: VlcParams) -> list[float]:
+           users: Sequence[Sequence[float]], params: VlcParams) -> list[float]:
     # Per-UAV unit powers of a fixed deployment, each cell paying for its
     # farthest user
     if len(association.clusters) != len(positions):
@@ -156,7 +156,7 @@ def _units(positions: Sequence[Sequence[float]],
     for center, cluster in zip(positions, association.clusters):
         if cluster:
             s_max = farthest_user(center, cluster, users)[0]
-            units.append(_unit_power(math.sqrt(s_max), exponent, params))
+            units.append(_unit_power(math.sqrt(s_max), params))
         else:
             units.append(0.0)
     return units
@@ -173,7 +173,7 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     Raises InfeasibleError naming the UAV and user when someone sits
     outside their serving UAV's field of view, whatever the prefactor.
     """
-    units = _units(positions, association, users, coeffs.exponent, params)
+    units = _units(positions, association, users, params)
     if math.inf in units:
         i = units.index(math.inf)
         j = farthest_user(positions[i], association.clusters[i], users)[1]
@@ -202,23 +202,25 @@ def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
         math.inf not in layout.units)
 
 
-def _exponent(params: VlcParams) -> float:
-    # the d^(m+3) exponent, as constraint_coefficients gives it
-    return params.lambertian_m + 3.0
-
-
 def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],
            association: CellAssociation, params: VlcParams
            ) -> tuple[_Layout, _Layout]:
     # The "init" layout and the "locate" one, with every UAV at its cluster's
     # SED center: from sub-area centers, sa1's and uavoo's at any thresholds.
-    exponent = _exponent(params)
     fixed = [Point2(float(p[0]), float(p[1])) for p in positions]
     init = _Layout(fixed, association,
-                   _units(fixed, association, users, exponent, params))
+                   _units(fixed, association, users, params))
     located = locate_uavs(association, users, fixed)
     return init, _Layout(located, association,
-                         _units(located, association, users, exponent, params))
+                         _units(located, association, users, params))
+
+
+def _check_descent(max_iters: int, rel_tol: float) -> None:
+    # the descent settings' rule; each comparison is written so NaN fails it
+    if not max_iters >= 1:
+        raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and >= 0")
 
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
@@ -229,18 +231,13 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
     # powers, so the result is the same at every positive prefactor.
     if not users:
         raise ValueError("at least one user is required")
-    # each comparison is written so that NaN fails it
-    if not max_iters >= 1:
-        raise ValueError("max_iters must be >= 1")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError("rel_tol must be finite and >= 0")
+    _check_descent(max_iters, rel_tol)
     fixed, best = start
     trace = [("locate", best.units)]
     if math.inf in best.units:
         return best, trace
     if math.inf not in fixed.units:    # fixed initial placement may violate the FOV
         trace.insert(0, ("init", fixed.units))
-    exponent = _exponent(params)
     best_total = math.fsum(best.units)
     positions, assoc = best.positions, best.association
     seen = set()
@@ -251,13 +248,13 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
             break
         seen.add(key)
         cand_assoc = greedy_min_size_clustering(
-            positions, users, exponent, params.uav_height,
+            positions, users, _exponent(params), params.uav_height,
             fov_ground_radius=params.fov_ground_radius)
         if cand_assoc.clusters == assoc.clusters:
             break    # association fixed point; relocation would change nothing
         positions = locate_uavs(cand_assoc, users, positions)
         assoc = cand_assoc
-        units = _units(positions, assoc, users, exponent, params)
+        units = _units(positions, assoc, users, params)
         if math.inf in units:
             break    # relocation put a user past the FOV; keep the best so far
         total = math.fsum(units)

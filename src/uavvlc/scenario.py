@@ -22,19 +22,17 @@ from .channel import (Requirements, VlcParams, _unit_power,
                       capacity_lower_bound, channel_gain,
                       constraint_coefficients, min_power_for_radius)
 from .geometry import Point2, Rect
-from .optimizer import (DeploymentSolution, _descend, _exponent, _Layout,
+from .optimizer import (DeploymentSolution, _check_descent, _descend, _Layout,
                         _priced, _start, _total, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
 
-def default_params(uav_height: float = 8.0, noise_std: float = 1e-10,
-                   illum_factor: float = 1.0) -> VlcParams:
+def default_params(uav_height: float = 8.0) -> VlcParams:
     """Wide-beam LED defaults: 1 cm^2 detector, n_r = 1.5, 60 degree angles."""
-    return VlcParams(
-        detector_area=1e-4, refractive_index=1.5,
-        tx_semi_angle_deg=60.0, fov_semi_angle_deg=60.0,
-        noise_std=noise_std, illum_factor=illum_factor, uav_height=uav_height)
+    return VlcParams(detector_area=1e-4, refractive_index=1.5,
+                     tx_semi_angle_deg=60.0, fov_semi_angle_deg=60.0,
+                     uav_height=uav_height)
 
 
 def default_requirements() -> Requirements:
@@ -71,9 +69,8 @@ class Scenario:
         sa1, uavoo = _start(self.users, centers,
                             geographic_association(self.users, self.sub_areas),
                             self.params)
-        exponent = _exponent(self.params)
         sa2 = _Layout(centers, CellAssociation([[] for _ in centers]),
-                      [_unit_power(r.half_diagonal(), exponent, self.params)
+                      [_unit_power(r.half_diagonal(), self.params)
                        for r in self.sub_areas])
         return {"sa1": sa1, "uavoo": uavoo, "sa2": sa2}
 
@@ -99,6 +96,10 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
             f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
             f"{reqs.illum_threshold!r} needs a transmit power beyond "
             f"floating-point range at height {params.uav_height!r} m")
+    z = params.uav_height    # a user's rate needs a finite gain, largest at nadir
+    if not (z * z > 0.0 and channel_gain((0, 0), (0, 0), params) < math.inf):
+        raise ValueError(f"detector_area {params.detector_area!r} at height {z!r} "
+                         f"m puts the channel gain beyond floating-point range")
 
 
 def generate_scenario(seed: int, area_size: float = 10.0,
@@ -154,8 +155,7 @@ class UserReport:
 
 def per_user_report(solution: DeploymentSolution,
                     users: Sequence[Sequence[float]],
-                    params: VlcParams,
-                    reqs: Requirements) -> list[UserReport]:
+                    params: VlcParams) -> list[UserReport]:
     """Rate and illumination actually received by each user."""
     if not solution.feasible:
         raise ValueError("per-user reports require a feasible solution")
@@ -193,10 +193,7 @@ class ScenarioConfig:
         self._grid    # make_grid rejects a bad grid
         if not self.base_seed >= 0:     # Random(-k) draws as Random(k) does
             raise ValueError("base_seed must be >= 0")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 <= self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be finite and >= 0")
+        _check_descent(self.max_iters, self.rel_tol)
 
     @functools.cached_property
     def _grid(self) -> tuple[Rect, tuple[Rect, ...]]:

@@ -3,8 +3,9 @@
 None of these runs in the package: each one restates a quantity the
 production code folds into a faster or closed form (the randomized
 smallest enclosing disk, the greedy association, the d^(m+3) power law,
-the decimal series behind the link constants), so agreement between the
-two is the check.
+the decimal series behind the link constants) or bounds what it can
+reach (the exact minimum-power layout), so agreement between the two is
+the check.
 """
 
 from __future__ import annotations
@@ -282,6 +283,54 @@ def exhaustive_min_size_clustering(
             best_assoc = assoc
     assert best_assoc is not None
     return best_assoc, best_cost
+
+
+def exact_min_power_layout(users: Sequence[Sequence[float]], num_uavs: int,
+                           params: VlcParams) -> tuple[float, list[Disk]]:
+    """Least total unit power of any placement of num_uavs UAVs, and its disks.
+
+    An optimal cell sits at the smallest enclosing disk of its cluster,
+    which 1, 2 or 3 of its users fix, and pays (r^2 + z_u^2)^((m+3)/2) for
+    that disk's radius r.  So the optimum is the cheapest cover of the users
+    by at most num_uavs such disks within the FOV ground radius (Bilo et
+    al., ESA 2005): branch and bound takes a disk through the lowest
+    uncovered user, cheapest first, until the cost so far reaches the best
+    cover found.  inf and no disks when no cover exists.
+    """
+    z2 = params.uav_height ** 2
+    half_exp = 0.5 * (params.lambertian_m + 3.0)
+    pts = [(float(u[0]), float(u[1])) for u in users]
+    cheapest: dict[int, tuple[float, Disk]] = {}    # covered users -> disk
+    for k in (1, 2, 3):
+        for subset in itertools.combinations(pts, k):
+            disk = sed_bruteforce(subset)
+            if disk.radius > params.fov_ground_radius:
+                continue
+            covered = sum(1 << j for j, p in enumerate(pts)
+                          if _covers(disk.center.x, disk.center.y, disk.radius, p))
+            cost = (disk.radius * disk.radius + z2) ** half_exp
+            if covered not in cheapest or cost < cheapest[covered][0]:
+                cheapest[covered] = (cost, disk)
+    disks = sorted((cost, covered, disk)
+                   for covered, (cost, disk) in cheapest.items())
+    through = [[d for d in disks if d[1] >> j & 1] for j in range(len(pts))]
+    best_total, best_disks = math.inf, []
+
+    def search(uncovered: int, left: int, spent: float, chosen: list[Disk]):
+        nonlocal best_total, best_disks
+        if not uncovered:    # reached only below the best so far
+            best_total, best_disks = spent, chosen
+            return
+        if not left:
+            return
+        j = (uncovered & -uncovered).bit_length() - 1
+        for cost, covered, disk in through[j]:
+            if spent + cost >= best_total:
+                break
+            search(uncovered & ~covered, left - 1, spent + cost, chosen + [disk])
+
+    search((1 << len(pts)) - 1, num_uavs, 0.0, [])
+    return best_total, best_disks
 
 
 def lambertian_order(tx_semi_angle: float) -> float:

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 
 from oracles import (cluster_cost, exhaustive_min_size_clustering,
                      lambertian_order, min_power_illum, min_power_rate,
@@ -105,14 +106,14 @@ def test_constraint_tightness():
     # illumination-limited, so both constraint branches get exercised
     cases = [Requirements(1.2, 0.1), Requirements(1.8, 0.6)]
     for reqs in cases:
-        params = default_params(noise_std=0.05)
+        params = replace(default_params(), noise_std=0.05)
         coeffs = constraint_coefficients(params, reqs)
         rate_binds = coeffs.rate_ratio > coeffs.v_illum
         for seed in range(50):
             sc = generate_scenario(seed=seed, params=params, reqs=reqs)
             sol = solve_scenario(sc, "proposed")
             assert sol.feasible
-            reports = per_user_report(sol, sc.users, sc.params, sc.reqs)
+            reports = per_user_report(sol, sc.users, sc.params)
             for rep in reports:
                 assert rep.achieved_rate >= reqs.rate_threshold * (1 - 1e-9)
                 assert rep.achieved_illum >= reqs.illum_threshold * (1 - 1e-9)

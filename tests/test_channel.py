@@ -287,11 +287,15 @@ class TestCapacityAndMinPower:
                                                                   rel=1e-11)
 
 
-    # each used to return NaN
+    # each used to return NaN (inf * 0 for the infinite ones), but an
+    # infinite power at a finite gain, which gave inf
     @pytest.mark.parametrize("power,gain", [(math.nan, H_NADIR), (1e-3, math.nan),
-                                            (-1e-3, H_NADIR), (1e-3, -H_NADIR)])
+                                            (-1e-3, H_NADIR), (1e-3, -H_NADIR),
+                                            (math.inf, 0.0), (0.0, math.inf),
+                                            (math.inf, H_NADIR)])
     def test_capacity_rejects_a_bad_power_or_gain(self, power, gain):
-        with pytest.raises(ValueError, match="^power and gain must be >= 0$"):
+        with pytest.raises(ValueError,
+                           match="^power and gain must be finite and >= 0$"):
             capacity_lower_bound(power, gain, table_params())
 
     @pytest.mark.parametrize("r", [math.nan, -1.0])

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavvlc.optimizer
-from uavvlc.cli import (MAX_SWEEP_POINTS, MC_COLUMNS, PER_USER_COLUMNS,
-                        SWEEP_COLUMNS, ConfigError, RunConfig, _sweep_values,
-                        apply_config_file, main, validate_config,
-                        workers_from_env)
+from uavvlc.cli import (_FIG4_MAIN_KEYS, MAX_SWEEP_POINTS, MC_COLUMNS,
+                        PER_USER_COLUMNS, SWEEP_COLUMNS, ConfigError, RunConfig,
+                        _sweep_values, apply_config_file, main,
+                        validate_config, workers_from_env)
 from uavvlc.scenario import (SCHEMES, generate_scenario, run_monte_carlo,
                              solve_scenario)
 
@@ -109,6 +109,8 @@ class TestValidateConfig:
         ("rate_threshold_bits", 600.0, "thresholds"),
         ("illum_threshold", 1e303, "thresholds"),
         ("heights", [8.0, 1e100], "thresholds"),
+        # the gain overflows a float, and a served user's rate was NaN
+        ("detector_area_m2", 1.7e308, "^detector_area_m2: .* channel gain"),
         # library fields the config spells differently, and ScenarioConfig's
         ("detector_area_m2", 0.0, "^detector_area_m2: "),
         ("noise_std_a", -1.0, "^noise_std_a: "),
@@ -402,6 +404,74 @@ class TestAnyConfig:
         if code == 1:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Case-file values of every RunConfig key, "{out}" standing for the main
+# --out: "ok" parses (it may still fail validation or be infeasible), "bad"
+# fails to parse, and "main" gives a key fig4 reads only from the main
+# config a value other than the main config's.
+CASE_VALUES = {
+    "mode": {"ok": ["fig4"], "main": ["single", "montecarlo", "sweep", "x"]},
+    "seed": {"ok": ["0", "3", "-1"], "bad": ["x", "1.5"]},
+    "runs": {"ok": ["100"], "main": ["5", "0"], "bad": ["many"]},
+    "users": {"ok": ["1", "4", "0"], "bad": ["four", "2.0"]},
+    "area_size": {"ok": ["10", "3.5", "0", "-2"], "bad": ["nan", "ten"]},
+    "grid": {"ok": ["2x2", "1x3", "3X1", "0x2"], "bad": ["2x", "2by2"]},
+    "heights": {"ok": ["8", "2.0", "8,12", "0"], "bad": ["8,x", ""]},
+    "detector_area_m2": {"ok": ["1e-4", "0"], "bad": ["inf", "a"]},
+    "refractive_index": {"ok": ["1.5", "1.2"], "bad": ["-inf"]},
+    "tx_semi_angle_deg": {"ok": ["60", "30", "90"], "bad": ["sixty"]},
+    "fov_semi_angle_deg": {"ok": ["60", "10", "90"], "bad": ["w"]},
+    "noise_std_a": {"ok": ["1e-10", "0.05", "0"], "bad": ["n"]},
+    "illum_factor": {"ok": ["1", "0.5"], "bad": ["nan"]},
+    "rate_threshold_bits": {"ok": ["1.2", "0", "600"], "bad": ["x"]},
+    "illum_threshold": {"ok": ["0.1", "0", "1e303"], "bad": ["y"]},
+    "cth_sweep": {"ok": ["1.0:3.0:0.5", "1:3:0.5"], "main": ["1:2:0.5"],
+                  "bad": ["1:2"]},
+    "schemes": {"ok": [",".join(SCHEMES)], "main": ["sa2", "sa2,sa2"],
+                "bad": ["bogus", ""]},
+    "out": {"ok": ["{out}"], "main": ["{out}/case"]},
+    "max_iters": {"ok": ["1", "20", "0"], "bad": ["1.5"]},
+    "rel_tol": {"ok": ["1e-9", "0", "1", "-1"], "bad": ["inf"]},
+}
+CASE_ENTRIES = st.lists(st.sampled_from(sorted(CASE_VALUES)), min_size=1,
+                        max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(*[st.sampled_from(
+        [(key, kind, value) for kind, values in CASE_VALUES[key].items()
+         for value in values]) for key in keys]))
+
+
+class TestFig4CaseFileFuzz:
+    def test_every_config_key_has_values(self):
+        assert sorted(CASE_VALUES) == sorted(vars(RunConfig()))
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries=CASE_ENTRIES)
+    def test_case_file_exits_cleanly(self, entries):
+        """main returns 0, 1 or 2 and never raises; 1 comes with exactly
+        one error line, the first unparsable line's or else the first main
+        key's, in _FIG4_MAIN_KEYS order."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = f"{tmp}/out"
+            case = Path(tmp) / "case.cfg"
+            case.write_text("".join(f"{key} = {value.format(out=out_dir)}\n"
+                                    for key, _, value in entries))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--mode", "fig4", "--users", "4",
+                             "--case1", str(case), "--out", out_dir])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        bad = [key for key, kind, _ in entries if kind == "bad"]
+        main_keys = sorted((key for key, kind, _ in entries if kind == "main"),
+                           key=_FIG4_MAIN_KEYS.index)
+        if bad:
+            assert code == 1 and lines[0].startswith(f"error: {bad[0]}: ")
+        elif main_keys:
+            key = main_keys[0]
+            assert lines == [f"error: {key}: a fig4 case file cannot set {key}"]
 
 
 class TestSweepValues:

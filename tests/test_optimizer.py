@@ -1,14 +1,15 @@
+import functools
 import itertools
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (baseline_sa2, cluster_cost, min_power_illum,
-                     min_power_rate, sed_bruteforce)
+from oracles import (baseline_sa2, cluster_cost, exact_min_power_layout,
+                     min_power_illum, min_power_rate, sed_bruteforce)
 import uavvlc.optimizer
 from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (InfeasibleError, Requirements,
@@ -17,8 +18,9 @@ from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
-from uavvlc.scenario import (Scenario, default_params, default_requirements,
-                             generate_scenario, make_grid, solve_scenario)
+from uavvlc.scenario import (Scenario, ScenarioConfig, default_params,
+                             default_requirements, generate_scenario, make_grid,
+                             solve_scenario)
 
 PARAMS = default_params()
 REQS = default_requirements()
@@ -312,7 +314,7 @@ class TestEvaluatePower:
     def test_zero_prefactor_still_rejects_out_of_fov(self):
         # no power serves a user past the FOV, even where every served user
         # needs none: 0 * inf would be NaN
-        params = default_params(noise_std=1e-320)
+        params = replace(default_params(), noise_std=1e-320)
         coeffs = constraint_coefficients(params, Requirements(1e-40, 0.0))
         assert coeffs.prefactor == 0.0
         users = [(0.0, 0.0), (1.0, 0.0), (20.0, 0.0)]
@@ -602,7 +604,7 @@ class TestSharedDescent:
                                                   max_iters, rel_tol):
         num_users, centers = shape
         users = random_users(seed, n=num_users)
-        params = default_params(uav_height=height, noise_std=noise)
+        params = replace(default_params(uav_height=height), noise_std=noise)
         start = _start(users, centers,
                        nearest_position_association(users, centers), params)
         layout, trace = _descend(users, start, params, max_iters, rel_tol)
@@ -639,6 +641,18 @@ class TestDescentSettings:
             solve_scenario(scenario, "proposed", rel_tol=rel_tol)
         with pytest.raises(ValueError, match="^rel_tol must be finite and >= 0$"):
             optimize(scenario.users, CENTERS, PARAMS, REQS, rel_tol=rel_tol)
+
+    def test_rel_tol_stops_after_a_small_enough_gain(self):
+        # at the defaults proposed records two improving rounds on run 1;
+        # under rel_tol 1 every gain is small enough, so the first one ends it
+        scenario = ScenarioConfig(params=default_params(8.0)).scenario(1)
+        full = solve_scenario(scenario, "proposed")
+        stopped = solve_scenario(scenario, "proposed", rel_tol=1.0)
+        rounds = [entry for entry in full.iterations if entry.step == "round"]
+        assert len(rounds) == 2
+        assert stopped.iterations == full.iterations[:-1]
+        assert stopped.total_power == rounds[0].total_power
+
 
 class TestBaselines:
     def test_sa1_nadir_users(self):
@@ -696,3 +710,45 @@ class TestBaselines:
             sa1 = solve_scenario(sc, "sa1")
             sa2 = solve_scenario(sc, "sa2")
             assert sa1.total_power <= sa2.total_power
+
+
+class TestExactMinimum:
+    """No scheme prices below the exact minimum-power layout."""
+
+    @pytest.mark.parametrize("height", [2.0, 8.0])
+    def test_oracle_matches_every_partition(self, height):
+        # every split of 6 users into at most 3 cells, each cell at the
+        # smallest enclosing disk of its users; at 2 m the FOV cuts some off
+        params = default_params(uav_height=height)
+        half_exp = 0.5 * (params.lambertian_m + 3.0)
+
+        @functools.lru_cache(maxsize=None)
+        def cell(members):
+            r = sed_bruteforce([users[j] for j in members]).radius
+            if r > params.fov_ground_radius:
+                return math.inf
+            return (r * r + height * height) ** half_exp
+
+        for seed, num_uavs in itertools.product(range(4), (1, 2, 3)):
+            users = random_users(seed, n=6)
+            cell.cache_clear()
+            brute = min(
+                math.fsum(cell(tuple(j for j, c in enumerate(labels) if c == i))
+                          for i in set(labels))
+                for labels in itertools.product(range(num_uavs), repeat=6))
+            total, disks = exact_min_power_layout(users, num_uavs, params)
+            if brute == math.inf:
+                assert (total, disks) == (math.inf, [])
+                continue
+            assert total == pytest.approx(brute, rel=1e-12)
+            assert len(disks) <= num_uavs
+            assert all(any(d.contains(u) for d in disks) for u in users)
+
+    def test_no_scheme_beats_the_exact_layout(self):
+        config = ScenarioConfig(params=default_params(8.0))
+        for run in range(20):
+            scenario = config.scenario(run)
+            exact, _ = exact_min_power_layout(scenario.users, 4, scenario.params)
+            floor = exact * COEFFS.prefactor * (1.0 - 1e-12)
+            for scheme in ("proposed", "uavoo", "sa1", "sa2"):
+                assert solve_scenario(scenario, scheme).total_power >= floor

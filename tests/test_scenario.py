@@ -207,7 +207,7 @@ class TestPerUserReport:
             sc = generate_scenario(seed=seed)
             for scheme in ("proposed", "uavoo", "sa1"):
                 sol = solve_scenario(sc, scheme)
-                for rep in per_user_report(sol, sc.users, sc.params, sc.reqs):
+                for rep in per_user_report(sol, sc.users, sc.params):
                     assert rep.achieved_rate >= RATE_REQ - 1e-9
                     assert rep.achieved_illum >= ILLUM_REQ - 1e-12
 
@@ -219,7 +219,7 @@ class TestPerUserReport:
         coeffs = constraint_coefficients(sc.params, sc.reqs)
         binding = (RATE_REQ if coeffs.rate_ratio > coeffs.v_illum
                    else ILLUM_REQ)
-        reports = per_user_report(sol, sc.users, sc.params, sc.reqs)
+        reports = per_user_report(sol, sc.users, sc.params)
         slack = []
         for rep in reports:
             value = (rep.achieved_rate if binding is RATE_REQ
@@ -230,7 +230,7 @@ class TestPerUserReport:
     def test_farthest_user_has_cluster_minimum(self):
         sc = generate_scenario(seed=8)
         sol = solve_scenario(sc, "proposed")
-        reports = per_user_report(sol, sc.users, sc.params, sc.reqs)
+        reports = per_user_report(sol, sc.users, sc.params)
         for i, cluster in enumerate(sol.association.clusters):
             if len(cluster) < 2:
                 continue
@@ -247,7 +247,7 @@ class TestPerUserReport:
         sol = solve_scenario(sc, "sa2")
         assert not sol.feasible
         with pytest.raises(ValueError):
-            per_user_report(sol, sc.users, sc.params, sc.reqs)
+            per_user_report(sol, sc.users, sc.params)
 
 
 class TestOneFovTest:
@@ -276,8 +276,7 @@ class TestOneFovTest:
         assert all(sol.feasible for sol in sols.values())
         assert sols["proposed"].total_power <= sols["uavoo"].total_power
         for sol in sols.values():
-            for rep in per_user_report(sol, scenario.users, scenario.params,
-                                       scenario.reqs):
+            for rep in per_user_report(sol, scenario.users, scenario.params):
                 assert rep.achieved_rate >= RATE_REQ - 1e-9
                 assert rep.achieved_illum >= ILLUM_REQ - 1e-12
         return sols
@@ -323,7 +322,7 @@ class TestPricedLast:
              noise=1e-10)
     def test_each_rate_equals_a_fresh_solve(self, seed, height, rates, illum,
                                             noise):
-        params = default_params(uav_height=height, noise_std=noise)
+        params = replace(default_params(uav_height=height), noise_std=noise)
         reqs = [Requirements(rate, illum) for rate in rates]
         # the scenario's own reqs are not read: give it another rate's
         shared = generate_scenario(seed, params=params,
@@ -342,7 +341,7 @@ class TestPricedLast:
         # every served user needs no power, and one past the FOV still
         # makes its scheme infeasible, 0 * inf being NaN; proposed still
         # descends on unit power, to its layout at a positive prefactor
-        params = default_params(uav_height=2.0, noise_std=1e-320)
+        params = replace(default_params(uav_height=2.0), noise_std=1e-320)
         reqs = Requirements(1e-40, 0.0)
         assert constraint_coefficients(params, reqs).prefactor == 0.0
         scenario = generate_scenario(seed, params=params, reqs=reqs)
@@ -362,7 +361,7 @@ class TestPricedLast:
     def test_proposed_layout_is_the_same_at_every_rate(self):
         # rounds compare on unit power, so no rate keeps a round that is
         # lower only by a rounding step at its own prefactor
-        params = default_params(8.0, noise_std=0.05)
+        params = replace(default_params(8.0), noise_std=0.05)
         layouts = set()
         for rate in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             scenario = generate_scenario(129, 15.0, (3, 3), 40, params,
@@ -423,7 +422,7 @@ class TestScenarioConfig:
         (default_params(), Requirements(2.0, 1e303)),       # the power is inf
         (default_params(uav_height=1e100), default_requirements()),
         (default_params(uav_height=1e-300), default_requirements()),   # n_const 0
-        (default_params(illum_factor=1e-320), default_requirements())],
+        (replace(default_params(), illum_factor=1e-320), default_requirements())],
         ids=["rate", "illum", "high", "low", "illum_factor"])
     def test_rejects_thresholds_whose_power_overflows(self, monkeypatch, params,
                                                      reqs):
@@ -439,6 +438,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
         assert runs == []
+
+    # the gain at nadir overflowed, so a served user's rate was NaN; or its
+    # z_u^2 rounded to 0, and per_user_report divided by zero
+    @pytest.mark.parametrize("params", [
+        replace(default_params(), detector_area=1.7e308),
+        replace(default_params(uav_height=1e-170), tx_semi_angle_deg=80.0)],
+        ids=["area", "height"])
+    def test_rejects_a_channel_gain_beyond_floating_point_range(self, params):
+        message = "^detector_area .* channel gain beyond floating-point range$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(params=params)
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(seed=0, params=params)
 
     def test_accepts_largest_area_whose_double_is_finite(self):
         area_size = sys.float_info.max / 2
