@@ -206,10 +206,15 @@ class ConstraintCoefficients:
 
 def constraint_coefficients(params: VlcParams,
                             reqs: Requirements) -> ConstraintCoefficients:
-    """Fold parameters and thresholds into d^(m+3) power-law coefficients."""
+    """Fold parameters and thresholds into d^(m+3) power-law coefficients.
+
+    Raises OverflowError when the link constant N overflows, and
+    ZeroDivisionError when it underflows to 0."""
     m = params.lambertian_m
     n_const = (params.illum_factor * (m + 1.0) * params.detector_area
                * params.fov_gain * params.uav_height ** (m + 1.0))
+    if not n_const < math.inf:    # the prefactor would be 0: every link free
+        raise OverflowError("xi (m+1) A g z_u^(m+1) is beyond floating-point range")
     v_illum = _TWO_PI * reqs.illum_threshold / n_const
     m_const = (_TWO_PI ** 1.5 * params.noise_std
                * math.sqrt(math.expm1(2.0 * reqs.rate_threshold * _LN2) / math.e))

@@ -20,7 +20,9 @@ geographic association but moves UAVs to SED centers.  Each is a
 threshold-free _Layout that a Scenario computes once and _priced prices,
 and solve_scenario is their only route.  sa1 and uavoo are the proposed
 scheme's first two states ("init" and "locate"), built by _start, the one
-start builder that optimize and Scenario both call.  A layout is feasible
+start builder that optimize and the scenario layouts both call.  A Monte
+Carlo run shares its SED centers between heights through _locate's
+centers map; a single solve passes none.  A layout is feasible
 when no unit power is inf, i.e. no user sits past its UAV's FOV.
 """
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
@@ -127,12 +129,29 @@ def locate_uavs(association: CellAssociation,
     A NaN or infinite coordinate raises ValueError."""
     if len(association.clusters) != len(previous_positions):
         raise ValueError("association and previous_positions disagree on UAV count")
-    positions = [Point2(x, y) for x, y in
-                 _finite_points(previous_positions, "UAV position")]
+    return _locate(association, users,
+                   [Point2(x, y) for x, y in
+                    _finite_points(previous_positions, "UAV position")], None)
+
+
+def _locate(association: CellAssociation, users: Sequence[Sequence[float]],
+            positions: Sequence[Point2],
+            centers: Optional[dict[tuple[int, ...], Point2]]) -> list[Point2]:
+    # locate_uavs on checked positions.  centers, when given, maps a cluster's
+    # user indices to its SED center and is filled on a miss: the same points
+    # in the same order give the same disk, so every link priced over one
+    # user draw can share it.
+    positions = list(positions)
     for i, cluster in enumerate(association.clusters):
-        if cluster:
-            disk = smallest_enclosing_disk([users[j] for j in cluster])
-            positions[i] = disk.center
+        if not cluster:
+            continue
+        key = None if centers is None else tuple(cluster)
+        center = None if key is None else centers.get(key)
+        if center is None:
+            center = smallest_enclosing_disk([users[j] for j in cluster]).center
+            if key is not None:
+                centers[key] = center
+        positions[i] = center
     return positions
 
 
@@ -203,14 +222,16 @@ def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
 
 
 def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],
-           association: CellAssociation, params: VlcParams
+           association: CellAssociation, params: VlcParams,
+           centers: Optional[dict[tuple[int, ...], Point2]]
            ) -> tuple[_Layout, _Layout]:
     # The "init" layout and the "locate" one, with every UAV at its cluster's
-    # SED center: from sub-area centers, sa1's and uavoo's at any thresholds.
+    # SED center (from centers, as _locate reads it): from sub-area centers,
+    # sa1's and uavoo's at any thresholds.
     fixed = [Point2(float(p[0]), float(p[1])) for p in positions]
     init = _Layout(fixed, association,
                    _units(fixed, association, users, params))
-    located = locate_uavs(association, users, fixed)
+    located = _locate(association, users, fixed, centers)
     return init, _Layout(located, association,
                          _units(located, association, users, params))
 
@@ -224,7 +245,8 @@ def _check_descent(max_iters: int, rel_tol: float) -> None:
 
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
-             params: VlcParams, max_iters: int, rel_tol: float
+             params: VlcParams, max_iters: int, rel_tol: float,
+             centers: Optional[dict[tuple[int, ...], Point2]]
              ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
     # Greedy rounds from start's "locate" layout: the best layout and its
     # (step, units) trace, "init" first when feasible.  Rounds compare unit
@@ -252,7 +274,7 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
             fov_ground_radius=params.fov_ground_radius)
         if cand_assoc.clusters == assoc.clusters:
             break    # association fixed point; relocation would change nothing
-        positions = locate_uavs(cand_assoc, users, positions)
+        positions = _locate(cand_assoc, users, positions, centers)
         assoc = cand_assoc
         units = _units(positions, assoc, users, params)
         if math.inf in units:
@@ -294,6 +316,7 @@ def optimize(users: Sequence[Sequence[float]],
     not finite and >= 0, raises ValueError.
     """
     assoc = nearest_position_association(users, uav_initial_positions)
-    start = _start(users, uav_initial_positions, assoc, params)
+    start = _start(users, uav_initial_positions, assoc, params, None)
     prefactor = constraint_coefficients(params, reqs).prefactor
-    return _priced(*_descend(users, start, params, max_iters, rel_tol), prefactor)
+    return _priced(*_descend(users, start, params, max_iters, rel_tol, None),
+                   prefactor)

@@ -61,18 +61,25 @@ class Scenario:
 
     @functools.cached_property
     def _layouts(self) -> dict[str, _Layout]:
-        # Each fixed scheme's layout at any thresholds, sa1 and uavoo where
-        # proposed starts; per instance, as equal scenarios may differ in sign
-        # bits (0.0 == -0.0).  Under sa2 each UAV at its sub-area center pays
-        # for the corner, users or not, so every cluster stays empty
-        centers = [r.center() for r in self.sub_areas]
-        sa1, uavoo = _start(self.users, centers,
-                            geographic_association(self.users, self.sub_areas),
-                            self.params)
-        sa2 = _Layout(centers, CellAssociation([[] for _ in centers]),
-                      [_unit_power(r.half_diagonal(), self.params)
-                       for r in self.sub_areas])
-        return {"sa1": sa1, "uavoo": uavoo, "sa2": sa2}
+        # per instance, as equal scenarios may differ in sign bits (0.0 == -0.0)
+        return _fixed_layouts(
+            self.users, self.sub_areas, self.params,
+            geographic_association(self.users, self.sub_areas), None)
+
+
+def _fixed_layouts(users: Sequence[Point2], sub_areas: Sequence[Rect],
+                   params: VlcParams, association: CellAssociation,
+                   centers: Optional[dict[tuple[int, ...], Point2]]
+                   ) -> dict[str, _Layout]:
+    # Each fixed scheme's layout at any thresholds, sa1 and uavoo where
+    # proposed starts; centers as _start reads it.  Under sa2 each UAV at its
+    # sub-area center pays for the corner, users or not, so every cluster
+    # stays empty
+    positions = [r.center() for r in sub_areas]
+    sa1, uavoo = _start(users, positions, association, params, centers)
+    sa2 = _Layout(positions, CellAssociation([[] for _ in positions]),
+                  [_unit_power(r.half_diagonal(), params) for r in sub_areas])
+    return {"sa1": sa1, "uavoo": uavoo, "sa2": sa2}
 
 
 def _check_layout(area_size: float, num_users: int, params: VlcParams,
@@ -82,24 +89,42 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
         raise ValueError("area_size must be > 0 with 2 * area_size finite")
     if not num_users >= 1:
         raise ValueError("num_users must be >= 1")
+    # A user's rate needs a finite gain, largest at nadir; named before the
+    # power, as a detector_area that overflows the gain may overflow n_const.
+    z = params.uav_height
+    gain_error = ValueError(f"detector_area {params.detector_area!r} at height "
+                            f"{z!r} m puts the channel gain beyond "
+                            f"floating-point range")
+    if z * z > 0.0 and not channel_gain((0, 0), (0, 0), params) < math.inf:
+        raise gain_error
     # The largest power any run can ask for: users and UAV positions lie in
     # the area, so no priced cell reaches past its diagonal or the FOV ground
     # radius, and power grows with both the distance and the thresholds.
     radius = min(params.fov_ground_radius, area_size * math.sqrt(2.0))
     try:
-        power = min_power_for_radius(
-            radius, constraint_coefficients(params, reqs), params)
+        coeffs = constraint_coefficients(params, reqs)
+        power = min_power_for_radius(radius, coeffs, params)
     except (OverflowError, ZeroDivisionError):    # n_const out of range
         power = math.inf
     if not power < math.inf:
         raise ValueError(
             f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
-            f"{reqs.illum_threshold!r} needs a transmit power beyond "
-            f"floating-point range at height {params.uav_height!r} m")
-    z = params.uav_height    # a user's rate needs a finite gain, largest at nadir
-    if not (z * z > 0.0 and channel_gain((0, 0), (0, 0), params) < math.inf):
-        raise ValueError(f"detector_area {params.detector_area!r} at height {z!r} "
-                         f"m puts the channel gain beyond floating-point range")
+            f"{reqs.illum_threshold!r} at height {z!r} m puts the transmit "
+            f"power or the link budget beyond floating-point range")
+    if not z * z > 0.0:
+        raise gain_error
+    # What a served user receives, xi * P * h as per_user_report computes it,
+    # lies between the largest power at the nadir gain and the smallest power
+    # at the gain of the farthest reachable user.  Both must be finite, and
+    # positive unless the prefactor is 0, where every user needs no power.
+    for r_power, r_gain in ((radius, 0.0), (0.0, radius)):
+        light = (params.illum_factor * min_power_for_radius(r_power, coeffs, params)
+                 * channel_gain((0.0, 0.0), (r_gain, 0.0), params))
+        if not (0.0 < light < math.inf or light == 0.0 == coeffs.prefactor):
+            raise ValueError(
+                f"detector_area {params.detector_area!r} with illum_factor "
+                f"{params.illum_factor!r} at height {z!r} m puts the received "
+                f"xi * P * h beyond floating-point range")
 
 
 def generate_scenario(seed: int, area_size: float = 10.0,
@@ -134,14 +159,23 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
 def _layout(scenario: Scenario, scheme: str, max_iters: int, rel_tol: float
             ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
     # The scheme's threshold-free layout and (step, units) trace; the
-    # scenario's reqs are not read.  proposed descends from sa1's and
-    # uavoo's layouts, and every other scheme is a cached layout.
+    # scenario's reqs are not read.
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    layouts = scenario._layouts
+    return _scheme_layout(scenario.users, scenario._layouts, scheme,
+                          scenario.params, max_iters, rel_tol, None)
+
+
+def _scheme_layout(users: Sequence[Point2], layouts: dict[str, _Layout],
+                   scheme: str, params: VlcParams, max_iters: int,
+                   rel_tol: float,
+                   centers: Optional[dict[tuple[int, ...], Point2]]
+                   ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
+    # proposed descends from sa1's and uavoo's layouts, relocating through
+    # centers, and every other scheme is one of the fixed layouts.
     if scheme == "proposed":
-        return _descend(scenario.users, (layouts["sa1"], layouts["uavoo"]),
-                        scenario.params, max_iters, rel_tol)
+        return _descend(users, (layouts["sa1"], layouts["uavoo"]), params,
+                        max_iters, rel_tol, centers)
     return layouts[scheme], [(scheme, layouts[scheme].units)]
 
 
@@ -231,18 +265,31 @@ class MonteCarloSummary:
 
 
 def _run_group(args) -> list[tuple[Optional[float], ...]]:
-    # One seeded run of configs that differ only in reqs: per config, each
-    # scheme's total power, or None where infeasible.  The run's geometry is
-    # solved once for all of them.  Tuples keep the per-run results small.
+    # One seeded run of configs equal but for params and reqs: per config,
+    # each scheme's total power, or None where infeasible.  They share the
+    # run's users, its geographic association and the SED center of every
+    # cluster, which read no link parameter; each distinct params solves its
+    # layouts once, and each reqs prices them.  Tuples keep the per-run
+    # results small.
     configs, run_index, schemes = args
     first = configs[0]
     scenario = first.scenario(run_index)
-    units = [_layout(scenario, scheme, first.max_iters, first.rel_tol)[0].units
-             for scheme in schemes]
+    users, sub_areas = scenario.users, scenario.sub_areas
+    association = geographic_association(users, sub_areas)
+    centers: dict[tuple[int, ...], Point2] = {}
+    units: dict[VlcParams, list[list[float]]] = {}
     results = []
     for config in configs:
-        prefactor = constraint_coefficients(first.params, config.reqs).prefactor
-        totals = [_total(prefactor, u) for u in units]
+        params = config.params
+        if params not in units:
+            layouts = _fixed_layouts(users, sub_areas, params, association,
+                                     centers)
+            units[params] = [
+                _scheme_layout(users, layouts, scheme, params, first.max_iters,
+                               first.rel_tol, centers)[0].units
+                for scheme in schemes]
+        prefactor = constraint_coefficients(params, config.reqs).prefactor
+        totals = [_total(prefactor, u) for u in units[params]]
         results.append(tuple(t if t < math.inf else None for t in totals))
     return results
 
@@ -305,11 +352,14 @@ def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
                             workers: int = 1) -> list[MonteCarloSummary]:
     """run_monte_carlo for each config, in order, from one worker pool.
 
-    Configs equal but for reqs draw the same scenarios, and the thresholds
-    enter a solve only through the power prefactor, so each run of such a
-    group solves its geometry once and prices every reqs from it.  Each
-    summary equals run_monte_carlo(config, ...) bit for bit.  An unknown or
-    repeated scheme raises ValueError.
+    Configs equal but for params and reqs draw the same scenarios.  Each run
+    of such a group draws its users once and shares their geographic
+    association and the smallest enclosing disk of every cluster, which
+    read no link parameter; each distinct params solves its layouts once,
+    and since the thresholds enter a solve only through the power
+    prefactor, every reqs is priced from them.  Each summary equals
+    run_monte_carlo(config, ...) bit for bit.  An unknown or repeated
+    scheme raises ValueError.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
@@ -322,7 +372,7 @@ def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         key = tuple(getattr(config, f.name) for f in fields(config)
-                    if f.name != "reqs")
+                    if f.name not in ("params", "reqs"))
         groups.setdefault(key, []).append(index)
     summaries: list[MonteCarloSummary] = [None] * len(configs)
     with contextlib.ExitStack() as stack:

@@ -325,6 +325,13 @@ class TestConstraintCoefficients:
         assert min_power_for_radius(0.0, c, p) == pytest.approx(
             c.prefactor * 8.0 ** 4, rel=1e-12)
 
+    def test_link_constant_overflow_raises(self):
+        # xi (m+1) overflows before A shrinks it: the prefactor read 0, and
+        # every user was priced at 0 W
+        with pytest.raises(OverflowError, match="^xi .* floating-point range$"):
+            constraint_coefficients(table_params(illum_factor=1.7e308),
+                                    Requirements(2.0, 0.1))
+
     def test_agrees_with_per_link_minimum(self):
         # max(rate power, illuminance power) at distance r must equal the
         # closed-form d^(m+3) rule

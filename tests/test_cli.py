@@ -230,9 +230,12 @@ class TestOutOfRange:
         ("fov_semi_angle_deg = 1e-200", "fov_semi_angle_deg"),
         ("refractive_index = 1e200", "refractive_index"),
         ("refractive_index = 1e-320", "refractive_index"),
-        # the link budget n_const underflows to 0
+        # the link budget n_const underflows to 0, or overflows
         ("heights = 1e-300", "thresholds"),
         ("illum_factor = 1e-320", "thresholds"),
+        ("illum_factor = 1.7e308", "thresholds"),
+        # the gain underflows to 0 while xi * P overflows
+        ("detector_area_m2 = 5e-324\nillum_factor = 1e200", "detector_area_m2"),
         # a sub-area centre overflows
         ("area_size = 1.7e308", "area_size"),
         # m is a finite 4.55e43, but the power law overflows
@@ -705,14 +708,23 @@ class TestSharedGeometry:
         name = "sweep.csv" if mode == "sweep" else "montecarlo.csv"
         assert read_csv(out / name)[1] == expected
 
-    def test_sweep_solves_each_geometry_once(self, monkeypatch, tmp_path):
-        # greedy and SED calls per (seed, height) are those of the single
-        # solve that runs the most rounds, not the sum over the rates
+    @staticmethod
+    def count_solves(monkeypatch, tmp_path, args, code, cfg):
+        # The CLI run's greedy and SED calls, and the counts it should make:
+        # per (seed, height) the greedy calls of the single solve that runs
+        # the most rounds, not the sum over the rates; per seed the distinct
+        # point lists that the single solves of every height pass to
+        # smallest_enclosing_disk.  Also the SED calls of one-height runs,
+        # which share no disk between heights, and all the singles' greedy
+        # calls.
         calls = {"greedy": 0, "sed": 0}
+        passed = []
 
         def counting(name, fn):
             def counted(*args, **kwargs):
                 calls[name] += 1
+                if name == "sed":
+                    passed.append(tuple(args[0]))
                 return fn(*args, **kwargs)
             return counted
 
@@ -721,32 +733,56 @@ class TestSharedGeometry:
             monkeypatch.setattr(uavvlc.optimizer, attr,
                                 counting(name, getattr(uavvlc.optimizer, attr)))
         monkeypatch.setenv("UAVVLC_THREADS", "1")
-        assert run_cli(*self.SWEEP, "--seed", 7, "--out", tmp_path / "out") == 2
+        assert run_cli(*args, "--out", tmp_path / "out") == code
         swept = dict(calls)
 
-        cfg = RunConfig(mode="sweep", seed=7, runs=3, heights=[2.0, 3.0])
         families = validate_config(cfg)
         expected = {"greedy": 0, "sed": 0}
-        singles = 0
-        for height in (2.0, 3.0):
-            for k in range(3):
-                most = {"greedy": 0, "sed": 0}
+        apart = singles = 0
+        for k in range(cfg.runs):
+            both = set()
+            for height in cfg.heights:
+                most = 0
+                passed.clear()
                 for family in families:
                     if family.params.uav_height != height:
                         continue
-                    calls.update(greedy=0, sed=0)
+                    calls["greedy"] = 0
                     scenario = family.scenario(k)
-                    for scheme in ("proposed", "uavoo", "sa1", "sa2"):
+                    for scheme in SCHEMES:
                         solve_scenario(scenario, scheme)
                     singles += calls["greedy"]
-                    most = {n: max(most[n], calls[n]) for n in most}
-                for n in most:
-                    expected[n] += most[n]
+                    most = max(most, calls["greedy"])
+                expected["greedy"] += most
+                apart += len(set(passed))
+                both.update(passed)
+            expected["sed"] += len(both)
+        return swept, expected, apart, singles
+
+    def test_sweep_solves_each_geometry_once(self, monkeypatch, tmp_path):
+        cfg = RunConfig(mode="sweep", seed=7, runs=3, heights=[2.0, 3.0],
+                        cth_sweep=(1.0, 3.0, 0.5))
+        swept, expected, _, singles = self.count_solves(
+            monkeypatch, tmp_path, [*self.SWEEP, "--seed", 7], 2, cfg)
         assert swept == expected
         # the counts go through the module attributes the tracer spans, so a
         # solve that routes around them would read 0 here, not pass at 0 == 0
         assert swept["sed"] > 0
         assert singles > swept["greedy"] > 0
+
+    def test_montecarlo_shares_disks_between_heights(self, monkeypatch,
+                                                     tmp_path):
+        # the paper's two heights draw the same users, so their runs share
+        # the geographic association's disks and any cluster both descents
+        # reach: fewer SED calls than two one-height runs
+        cfg = RunConfig(mode="montecarlo", seed=7, runs=5, heights=[8.0, 12.0])
+        swept, expected, apart, _ = self.count_solves(
+            monkeypatch, tmp_path,
+            ["--mode", "montecarlo", "--runs", 5, "--height", 8, "--height", 12,
+             "--seed", 7], 0, cfg)
+        assert swept == expected
+        assert 0 < swept["sed"] < apart
+        assert swept["greedy"] > 0
 
 
 class TestFig4Mode:

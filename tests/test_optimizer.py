@@ -566,7 +566,7 @@ class TestRelocationPastTheFov:
     def test_keeps_the_best_state_so_far(self):
         # the first round relocates users 3 and 4 about 1e-14 m past the FOV
         start = _start(self.USERS, self.CENTERS, nearest_position_association(
-            self.USERS, self.CENTERS), PARAMS)[1]
+            self.USERS, self.CENTERS), PARAMS, None)[1]
         assoc = greedy_min_size_clustering(
             start.positions, self.USERS, COEFFS.exponent, PARAMS.uav_height,
             fov_ground_radius=PARAMS.fov_ground_radius)
@@ -606,8 +606,9 @@ class TestSharedDescent:
         users = random_users(seed, n=num_users)
         params = replace(default_params(uav_height=height), noise_std=noise)
         start = _start(users, centers,
-                       nearest_position_association(users, centers), params)
-        layout, trace = _descend(users, start, params, max_iters, rel_tol)
+                       nearest_position_association(users, centers), params,
+                       None)
+        layout, trace = _descend(users, start, params, max_iters, rel_tol, None)
         for rate in rates:
             r = Requirements(rate, illum)
             sol = _priced(layout, trace, constraint_coefficients(params, r).prefactor)
@@ -618,16 +619,17 @@ class TestSharedDescent:
         users = random_users(5)
         prefactor = constraint_coefficients(PARAMS, Requirements(1.0, 0.1)).prefactor
         start = _start(users, CENTERS,
-                       nearest_position_association(users, CENTERS), PARAMS)
-        layout, trace = _descend(users, start, PARAMS, 20, 1e-9)
+                       nearest_position_association(users, CENTERS), PARAMS,
+                       None)
+        layout, trace = _descend(users, start, PARAMS, 20, 1e-9, None)
         a, b = (_priced(layout, trace, prefactor) for _ in range(2))
         assert bits(a) == bits(b)
         a.uav_positions.append(Point2(-1.0, -1.0))
         a.association.clusters[0].append(-1)
         a.per_uav_power.append(-1.0)
         a.iterations.append(uavvlc.optimizer.IterationEntry(-1.0, "vandal"))
-        assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9),
-                                       prefactor))
+        assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9,
+                                                 None), prefactor))
 
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import uavvlc
 import uavvlc.scenario
 from oracles import baseline_sa2
-from uavvlc.channel import Requirements, channel_gain, constraint_coefficients
+from uavvlc.channel import (Requirements, VlcParams, channel_gain,
+                            constraint_coefficients)
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import IterationEntry, _priced, optimize
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _layout,
@@ -452,6 +453,62 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             generate_scenario(seed=0, params=params)
 
+    # xi (m+1) A g z^(m+1) overflowed, so the prefactor was 0 and every
+    # scheme "feasible" at 0 W with rate and light 0; or the gain underflowed
+    # to 0 while xi * P overflowed, and a served user's rate and light were
+    # NaN
+    @pytest.mark.parametrize("params,message", [
+        (replace(default_params(), illum_factor=1.7e308),
+         "^rate_threshold .* beyond floating-point range"),
+        (replace(default_params(), detector_area=5e-324, illum_factor=1e200),
+         "^detector_area .* xi \\* P \\* h beyond floating-point range$")],
+        ids=["link_overflow", "gain_underflow"])
+    def test_rejects_a_received_light_beyond_floating_point_range(
+            self, monkeypatch, params, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(params=params)
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(seed=0, params=params)
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(replace(ScenarioConfig(), params=params), 2)
+        assert runs == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(area=st.sampled_from([1e-320, 1e-100, 1e-4, 1.0, 1e100, 1.7e308]),
+           xi=st.sampled_from([1e-320, 1e-100, 1.0, 1e100, 1e200, 1.7e308]),
+           height=st.sampled_from([1e-100, 1e-3, 8.0, 1e50, 1e100]),
+           noise=st.sampled_from([1e-320, 1e-10, 1.0, 1e100]),
+           rate=st.sampled_from([0.0, 1e-40, 2.0, 100.0]),
+           illum=st.sampled_from([0.0, 1e-300, 0.1, 1e100]))
+    @example(area=1e-4, xi=1.7e308, height=8.0, noise=1e-10, rate=2.0,
+             illum=0.1)
+    @example(area=5e-324, xi=1e200, height=8.0, noise=1e-10, rate=2.0,
+             illum=0.1)
+    def test_accepted_links_serve_a_finite_positive_light(
+            self, area, xi, height, noise, rate, illum):
+        # every served user's xi * P * h is finite, and positive unless the
+        # prefactor is 0; rate and light are never NaN
+        try:
+            params = VlcParams(detector_area=area, refractive_index=1.5,
+                               tx_semi_angle_deg=60.0, fov_semi_angle_deg=60.0,
+                               noise_std=noise, illum_factor=xi,
+                               uav_height=height)
+            reqs = Requirements(rate, illum)
+            config = ScenarioConfig(area_size=10.0, num_users=8, params=params,
+                                    reqs=reqs)
+        except ValueError:
+            return
+        sol = solve_scenario(config.scenario(0), "proposed")
+        if not sol.feasible:
+            return
+        positive = constraint_coefficients(params, reqs).prefactor > 0.0
+        for report in per_user_report(sol, config.scenario(0).users, params):
+            assert not math.isnan(report.achieved_rate)
+            assert 0.0 <= report.achieved_illum < math.inf
+            assert report.achieved_illum > 0.0 or not positive
+
     def test_accepts_largest_area_whose_double_is_finite(self):
         area_size = sys.float_info.max / 2
         scenario = ScenarioConfig(area_size=area_size, num_users=2).scenario()
@@ -532,16 +589,21 @@ class TestMonteCarlo:
 
 
 class TestMonteCarloBatches:
-    """Configs that differ only in reqs share each run's geometry; every
-    summary still equals its own run_monte_carlo."""
+    """Configs that differ only in params and reqs share each run's users,
+    association and disks; every summary still equals its own
+    run_monte_carlo."""
 
-    # heights 2 and 8, a rate repeated, and one config whose max_iters
-    # keeps it out of its height's group
+    # heights 2 and 8, a rate repeated, one config whose max_iters keeps it
+    # out of the group, and one at 8 m whose 45 degree FOV prunes other
+    # greedy candidates than the 60 degree configs do
     CONFIGS = ([ScenarioConfig(base_seed=4, params=default_params(uav_height=h),
                                reqs=Requirements(rate, 0.1))
                 for h in (2.0, 8.0) for rate in (2.5, 1.0, 2.5)]
                + [ScenarioConfig(base_seed=4, reqs=Requirements(1.0, 0.1),
-                                 max_iters=1)])
+                                 max_iters=1),
+                  ScenarioConfig(base_seed=4, reqs=Requirements(1.0, 0.1),
+                                 params=replace(default_params(8.0),
+                                                fov_semi_angle_deg=45.0))])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_run_monte_carlo_in_any_order(self, workers):
