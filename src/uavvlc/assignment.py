@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .channel import InfeasibleError
+from .channel import InfeasibleError, VlcParams, _exponent
 from .geometry import _finite_points
 
 
@@ -63,46 +63,38 @@ def farthest_user(center: Sequence[float], cluster: Sequence[int],
 def greedy_min_size_clustering(
     uav_centers: Sequence[Sequence[float]],
     users: Sequence[Sequence[float]],
-    exponent: float,
-    z_u: float,
-    fov_ground_radius: float = math.inf,
+    params: VlcParams,
 ) -> CellAssociation:
     """Assign each user to the cell whose disk cost grows the least.
 
-    Users are processed in index order.  Disks start at zero radius and
-    zero cost, so a user entering an empty cell pays that cell's full
-    (r^2+z_u^2)^(e/2) while a user already inside an occupied disk costs
-    nothing; ties go to the lowest UAV index.  Candidates farther than
-    fov_ground_radius from a UAV are never assigned to it; a user outside
-    every UAV's field of view raises InfeasibleError.  The running total
-    after each insertion is the sum of (farthest 3D distance)^e over the
-    non-empty cells of the partial assignment, and never decreases.
+    The link prices a cell at (r^2+z_u^2)^(e/2), with z_u its height and
+    e = m + 3 its power-law exponent.  Users are processed in index order.
+    Disks start at zero radius and zero cost, so a user entering an empty
+    cell pays that cell's full cost while a user already inside an occupied
+    disk costs nothing; ties go to the lowest UAV index.  Candidates past
+    the link's FOV ground radius from a UAV are never assigned to it; a
+    user outside every UAV's field of view raises InfeasibleError.  The
+    running total after each insertion is the sum of (farthest 3D
+    distance)^e over the non-empty cells of the partial assignment, and
+    never decreases.
 
     Growth is never negative, so a user's scan stops at zero growth.  With
-    16+ UAVs spread wider than 2 * fov_ground_radius on some axis, a user
-    scans only the UAVs its grid cell lists, in index order, which gives a
-    full scan's clusters.  There, for exponents of at least 1, a user first
-    joins the first disk holding it at zero growth among those its cell
-    of a grid a third as fine lists.  A NaN or infinite coordinate, a z_u
-    not finite and > 0, an exponent not finite and >= 0, or a
-    fov_ground_radius not > 0 raises ValueError.
+    16+ UAVs spread wider than twice the FOV ground radius on some axis, a
+    user scans only the UAVs its grid cell lists, in index order, which
+    gives a full scan's clusters.  There a user first joins the first disk
+    holding it at zero growth among those its cell of a grid a third as
+    fine lists.  A NaN or infinite coordinate raises ValueError.
     """
-    # every comparison is written so that NaN fails it
-    if not 0.0 < z_u < math.inf:
-        raise ValueError("z_u must be finite and > 0")
-    if not 0.0 <= exponent < math.inf:
-        raise ValueError("exponent must be finite and >= 0")
-    if not fov_ground_radius > 0.0:
-        raise ValueError("fov_ground_radius must be > 0")
     if not uav_centers:
         raise ValueError("at least one UAV center is required")
     centers = _finite_points(uav_centers, "UAV center")
     points = _finite_points(users, "user")
+    fov_ground_radius = params.fov_ground_radius
     cells = _reach_cells(centers, points, fov_ground_radius)
     everyone = [(i, cx, cy) for i, (cx, cy) in enumerate(centers)]
 
-    z2 = z_u * z_u
-    half_exp = 0.5 * exponent
+    z2 = params.uav_height * params.uav_height
+    half_exp = 0.5 * _exponent(params)
     # Squared 3D radius and cost per disk; zero while the disk is empty, so
     # the generic growth formula prices the first user at full cost.
     sq_radius = [0.0] * len(centers)
@@ -112,7 +104,7 @@ def greedy_min_size_clustering(
     # may hold a user there at zero growth, and per disk the squared ground
     # distance past which it grows (the 1e-9 term outweighs rounding s).
     side = fov_ground_radius / 3.0
-    held: Optional[dict] = {} if cells is not None and exponent >= 1.0 else None
+    held: Optional[dict] = None if cells is None else {}
     inner = [-math.inf] * len(centers)
 
     for j, (ux, uy) in enumerate(points):

@@ -185,7 +185,7 @@ class ConstraintCoefficients:
     """Geometry-independent pieces of the per-link minimum power.
 
     With d the 3D link distance, meeting both constraints costs
-    max(v_illum, rate_ratio) * d^exponent where exponent = m + 3:
+    max(v_illum, rate_ratio) * d^(m+3):
 
         v_illum    = 2 pi eta_th / ((m+1) A g z_u^(m+1) xi)
         rate_ratio = M / N, the same quantity for the rate constraint,
@@ -197,7 +197,6 @@ class ConstraintCoefficients:
 
     v_illum: float
     rate_ratio: float
-    exponent: float
 
     @property
     def prefactor(self) -> float:
@@ -218,8 +217,7 @@ def constraint_coefficients(params: VlcParams,
     v_illum = _TWO_PI * reqs.illum_threshold / n_const
     m_const = (_TWO_PI ** 1.5 * params.noise_std
                * math.sqrt(math.expm1(2.0 * reqs.rate_threshold * _LN2) / math.e))
-    return ConstraintCoefficients(v_illum=v_illum, rate_ratio=m_const / n_const,
-                                  exponent=_exponent(params))
+    return ConstraintCoefficients(v_illum=v_illum, rate_ratio=m_const / n_const)
 
 
 def _exponent(params: VlcParams) -> float:

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
-                      VlcParams, _exponent, _powers, _unit_power,
+                      VlcParams, _powers, _unit_power,
                       constraint_coefficients)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
@@ -269,9 +269,7 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
         if key in seen:
             break
         seen.add(key)
-        cand_assoc = greedy_min_size_clustering(
-            positions, users, _exponent(params), params.uav_height,
-            fov_ground_radius=params.fov_ground_radius)
+        cand_assoc = greedy_min_size_clustering(positions, users, params)
         if cand_assoc.clusters == assoc.clusters:
             break    # association fixed point; relocation would change nothing
         positions = _locate(cand_assoc, users, positions, centers)

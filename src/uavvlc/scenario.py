@@ -99,14 +99,15 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
         raise gain_error
     # The largest power any run can ask for: users and UAV positions lie in
     # the area, so no priced cell reaches past its diagonal or the FOV ground
-    # radius, and power grows with both the distance and the thresholds.
+    # radius, and power grows with both the distance and the thresholds.  A
+    # valid need is positive, so a prefactor of 0 means that it underflowed.
     radius = min(params.fov_ground_radius, area_size * math.sqrt(2.0))
     try:
         coeffs = constraint_coefficients(params, reqs)
         power = min_power_for_radius(radius, coeffs, params)
     except (OverflowError, ZeroDivisionError):    # n_const out of range
         power = math.inf
-    if not power < math.inf:
+    if not (power < math.inf and coeffs.prefactor > 0.0):
         raise ValueError(
             f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
             f"{reqs.illum_threshold!r} at height {z!r} m puts the transmit "
@@ -115,12 +116,11 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
         raise gain_error
     # What a served user receives, xi * P * h as per_user_report computes it,
     # lies between the largest power at the nadir gain and the smallest power
-    # at the gain of the farthest reachable user.  Both must be finite, and
-    # positive unless the prefactor is 0, where every user needs no power.
+    # at the gain of the farthest reachable user: both finite and positive.
     for r_power, r_gain in ((radius, 0.0), (0.0, radius)):
         light = (params.illum_factor * min_power_for_radius(r_power, coeffs, params)
                  * channel_gain((0.0, 0.0), (r_gain, 0.0), params))
-        if not (0.0 < light < math.inf or light == 0.0 == coeffs.prefactor):
+        if not 0.0 < light < math.inf:
             raise ValueError(
                 f"detector_area {params.detector_area!r} with illum_factor "
                 f"{params.illum_factor!r} at height {z!r} m puts the received "
@@ -152,18 +152,12 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = 20,
     give another proposed than solve_scenario(config.scenario(k),
     "proposed"), which runs up to 20 rounds.  A max_iters below 1 or a
     rel_tol not finite and >= 0 raises ValueError."""
-    prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
-    return _priced(*_layout(scenario, scheme, max_iters, rel_tol), prefactor)
-
-
-def _layout(scenario: Scenario, scheme: str, max_iters: int, rel_tol: float
-            ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
-    # The scheme's threshold-free layout and (step, units) trace; the
-    # scenario's reqs are not read.
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return _scheme_layout(scenario.users, scenario._layouts, scheme,
-                          scenario.params, max_iters, rel_tol, None)
+    prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
+    return _priced(*_scheme_layout(scenario.users, scenario._layouts, scheme,
+                                   scenario.params, max_iters, rel_tol, None),
+                   prefactor)
 
 
 def _scheme_layout(users: Sequence[Point2], layouts: dict[str, _Layout],
@@ -211,7 +205,8 @@ def per_user_report(solution: DeploymentSolution,
 class ScenarioConfig:
     """Everything needed to regenerate a family of scenarios; construction
     rejects a bad area_size, grid, num_users, base_seed, max_iters or rel_tol,
-    and thresholds whose power at the farthest reachable user overflows."""
+    and thresholds whose power at the farthest reachable user overflows or
+    underflows to 0."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)

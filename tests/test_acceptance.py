@@ -16,8 +16,9 @@ from oracles import (cluster_cost, exhaustive_min_size_clustering,
                      lambertian_order, min_power_illum, min_power_rate,
                      sed_bruteforce)
 from uavvlc.assignment import greedy_min_size_clustering
-from uavvlc.channel import (Requirements, VlcParams, capacity_lower_bound,
-                            channel_gain, constraint_coefficients)
+from uavvlc.channel import (Requirements, VlcParams, _exponent,
+                            capacity_lower_bound, channel_gain,
+                            constraint_coefficients)
 from uavvlc.geometry import smallest_enclosing_disk
 from uavvlc.scenario import (ScenarioConfig, default_params,
                              default_requirements, generate_scenario,
@@ -213,14 +214,16 @@ def test_channel_spot_checks():
 
 @criterion(9, "greedy-never-beats-exhaustive")
 def test_greedy_against_exhaustive():
-    exponent, z_u = 4.0, 8.0
+    # exponent 4 at 8 m, with a FOV that reaches every user
+    params = replace(default_params(8.0), fov_semi_angle_deg=90.0)
+    exponent, z_u = _exponent(params), params.uav_height
     rng = random.Random(42)
     equal = 0
     for _ in range(200):
         centers = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(2)]
         users = [(rng.uniform(0, 10), rng.uniform(0, 10))
                  for _ in range(rng.randint(1, 8))]
-        assoc = greedy_min_size_clustering(centers, users, exponent, z_u)
+        assoc = greedy_min_size_clustering(centers, users, params)
         greedy = cluster_cost(assoc, centers, users, exponent, z_u)
         _, best = exhaustive_min_size_clustering(centers, users, exponent, z_u)
         assert greedy >= best * (1 - 1e-12)
@@ -237,7 +240,7 @@ def test_greedy_against_exhaustive():
         for cx, cy in centers:
             for _ in range(g.randint(1, 4)):
                 users.append((cx + g.uniform(-1, 1), cy + g.uniform(-1, 1)))
-        assoc = greedy_min_size_clustering(centers, users, exponent, z_u)
+        assoc = greedy_min_size_clustering(centers, users, params)
         greedy = cluster_cost(assoc, centers, users, exponent, z_u)
         _, best = exhaustive_min_size_clustering(centers, users, exponent, z_u)
         assert greedy <= best * (1 + 1e-12)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,25 @@ from oracles import (cluster_cost, exhaustive_min_size_clustering,
                      greedy_reference)
 from uavvlc.assignment import (CellAssociation, _reach_cells,
                                greedy_min_size_clustering)
-from uavvlc.channel import InfeasibleError
+from uavvlc.channel import InfeasibleError, VlcParams, _exponent
+from uavvlc.scenario import default_params
 
 Z_U = 8.0
-EXPONENT = 4.0    # m + 3 with m = 1
 
 
-def greedy(centers, users, **kw):
-    return greedy_min_size_clustering(centers, users, EXPONENT, Z_U, **kw)
+def link(z_u=Z_U, radius=math.inf):
+    """The default link at height z_u, its FOV reaching about radius on
+    the ground; the 60 degree LED keeps m = 1, so the exponent is 4.0."""
+    fov = 90.0 if radius == math.inf else math.degrees(math.atan(radius / z_u))
+    return replace(default_params(z_u), fov_semi_angle_deg=fov)
+
+
+LINK = link()
+EXPONENT = _exponent(LINK)    # m + 3 with m = 1
+
+
+def greedy(centers, users, params=LINK):
+    return greedy_min_size_clustering(centers, users, params)
 
 
 def cost(assoc, centers, users):
@@ -121,12 +133,12 @@ class TestGreedy:
     def test_respects_fov_radius(self):
         centers = [(0.0, 0.0), (9.0, 0.0)]
         # user at x=5 is 5 m from UAV 0 and 4 m from UAV 1
-        assoc = greedy(centers, [(5.0, 0.0)], fov_ground_radius=4.5)
+        assoc = greedy(centers, [(5.0, 0.0)], link(radius=4.5))
         assert assoc.clusters == [[], [0]]
 
     def test_unreachable_user_is_infeasible(self):
         with pytest.raises(InfeasibleError) as err:
-            greedy([(0.0, 0.0)], [(9.0, 0.0)], fov_ground_radius=5.0)
+            greedy([(0.0, 0.0)], [(9.0, 0.0)], link(radius=5.0))
         assert err.value.user_index == 0
 
     def test_deterministic(self):
@@ -141,10 +153,15 @@ class TestGreedy:
             greedy([], [(0.0, 0.0)])
 
 
-def outcome(solver, centers, users, radius, z_u=Z_U):
+def reference(centers, users, params):
+    return greedy_reference(centers, users, _exponent(params),
+                            params.uav_height, params.fov_ground_radius)
+
+
+def outcome(solver, centers, users, params):
     """Clusters, or the index of the first user no UAV reaches."""
     try:
-        return solver(centers, users, EXPONENT, z_u, radius).clusters
+        return solver(centers, users, params).clusters
     except InfeasibleError as err:
         return err.user_index
 
@@ -153,12 +170,13 @@ class TestGreedyAgainstReference:
     """Early exit and buckets give the plain scan's clusters exactly."""
 
     @staticmethod
-    def assert_same(centers, users, radius, bucketed=True, z_u=Z_U):
+    def assert_same(centers, users, params, bucketed=True):
         # the bucket path is the one under test unless said otherwise
         points = [(float(x), float(y)) for x, y in users]
-        assert (_reach_cells(centers, points, radius) is not None) == bucketed
-        assert (outcome(greedy_min_size_clustering, centers, users, radius, z_u)
-                == outcome(greedy_reference, centers, users, radius, z_u))
+        assert (_reach_cells(centers, points, params.fov_ground_radius)
+                is not None) == bucketed
+        assert (outcome(greedy_min_size_clustering, centers, users, params)
+                == outcome(reference, centers, users, params))
 
     @staticmethod
     def unreachable_last(rng, users, far):
@@ -172,7 +190,8 @@ class TestGreedyAgainstReference:
     def test_random_instances(self, offset):
         rng = random.Random(12)
         for _ in range(25):
-            radius = rng.uniform(1.0, 10.0)
+            params = link(radius=rng.uniform(1.0, 10.0))
+            radius = params.fov_ground_radius
             side = rng.uniform(3.0, 10.0) * radius
             centers = [(rng.uniform(0, side) + offset,
                         rng.uniform(0, side) - offset)
@@ -185,7 +204,7 @@ class TestGreedyAgainstReference:
                 users.append((cx + d * math.cos(a), cy + d * math.sin(a)))
             far = (offset - 2.0 * radius, -offset - 2.0 * radius)
             self.assert_same(centers, self.unreachable_last(rng, users, far),
-                             radius)
+                             params)
 
     # 0.3 is not a double, so cell keys near borders round either way
     @pytest.mark.parametrize("radius", [2.5, 0.3])
@@ -193,6 +212,8 @@ class TestGreedyAgainstReference:
     def test_users_on_fov_edges_and_cell_borders(self, offset, radius):
         # centers on cell corners; users one FOV radius away along an axis
         # (on cell corners too) or slid along a cell border
+        params = link(radius=radius)
+        radius = params.fov_ground_radius
         rng = random.Random(4)
         for _ in range(25):
             centers = [(radius * rng.randint(0, 8) + offset,
@@ -206,7 +227,7 @@ class TestGreedyAgainstReference:
                                          (cx + slide, cy), (cx, cy + slide)]))
             far = (offset + 12.0 * radius, offset + 0.5 * radius)
             self.assert_same(centers, self.unreachable_last(rng, users, far),
-                             radius)
+                             params)
 
     # z_u sets how much of r^2 the rounding of s = r^2 + z_u^2 loses
     @pytest.mark.parametrize("z_u", [0.01, Z_U, 1000.0])
@@ -217,8 +238,9 @@ class TestGreedyAgainstReference:
         # cell borders; users a whole number of held cells from a UAV along
         # an axis (on a border, or at the nadir), and repeats of earlier
         # users, which sit on a grown rim at exactly its squared radius
+        params = link(z_u, radius)
         rng = random.Random(9)
-        side = radius / 3.0
+        side = params.fov_ground_radius / 3.0
         for _ in range(20):
             centers = [(0.5 * side * rng.randint(0, 50) + offset,
                         0.5 * side * rng.randint(0, 50) + offset)
@@ -232,7 +254,7 @@ class TestGreedyAgainstReference:
                 k = side * rng.randint(0, 3)
                 users.append(rng.choice([(cx + k, cy), (cx - k, cy),
                                          (cx, cy + k), (cx, cy - k)]))
-            self.assert_same(centers, users, radius, z_u=z_u)
+            self.assert_same(centers, users, params)
 
     @pytest.mark.parametrize("radius", [2.5, 0.3])
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
@@ -246,53 +268,43 @@ class TestGreedyAgainstReference:
         # the bare ground radius (the 1e-9 term of the bound covers it); at
         # 0.01 m and 1e8 the rounding of cell keys outruns that term (the
         # box pad covers it).
-        side = radius / 3.0
         for z_u in (0.01, Z_U, 1000.0):
+            params = link(z_u, radius)
+            reach = params.fov_ground_radius
+            side = reach / 3.0
             for shift in range(30):
                 x = offset + shift * side
                 centers = [(x, offset), (x + 3.0 * side, offset)]
-                centers += [(offset + (12.0 + 3.0 * k) * radius, offset)
+                centers += [(offset + (12.0 + 3.0 * k) * reach, offset)
                             for k in range(14)]
                 users = [(x - 2.0 * side, offset), (x + 2.0 * side, offset),
                          (x + 4.0 * side, offset), (x + 2.0 * side, offset)]
-                self.assert_same(centers, users, radius, z_u=z_u)
+                self.assert_same(centers, users, params)
                 assert outcome(greedy_min_size_clustering, centers, users,
-                               radius, z_u)[:2] == [[0, 1, 3], [2]]
-
-    def test_exponents_below_one_skip_the_held_cells(self):
-        # s ** 1e-20 rounds to 1.0 for every s, so any non-empty disk in
-        # reach takes a user at zero growth, however far its rim
-        rng = random.Random(1)
-        centers = [(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(30)]
-        users = [(cx + rng.uniform(-1.7, 1.7), cy + rng.uniform(-1.7, 1.7))
-                 for cx, cy in rng.choices(centers, k=200)]
-        assert _reach_cells(centers, users, 2.5) is not None
-        for exponent in (1e-20, 0.5):
-            assert (greedy_min_size_clustering(centers, users, exponent, Z_U, 2.5)
-                    == greedy_reference(centers, users, exponent, Z_U, 2.5))
+                               params)[:2] == [[0, 1, 3], [2]]
 
     def test_equidistant_uavs_tie_to_lowest_index(self):
-        radius = 3.0
+        params = link(radius=3.0)
         # UAVs 3 to 15 are out of reach; they make the layout wide and large
         centers = [(2.0, 0.0), (0.0, 0.0), (-2.0, 0.0)]
         centers += [(20.0 + 7.0 * k, 0.0) for k in range(13)]
         users = [(0.0, 1.0), (-1.0, 0.5), (1.0, 0.5), (0.0, -1.0)]
-        self.assert_same(centers, users, radius)
+        self.assert_same(centers, users, params)
         assert outcome(greedy_min_size_clustering, centers,
-                       [(-1.0, 0.5)], radius)[:3] == [[], [0], []]
+                       [(-1.0, 0.5)], params)[:3] == [[], [0], []]
         assert outcome(greedy_min_size_clustering, centers,
-                       [(1.0, 0.0)], radius)[:3] == [[0], [], []]
+                       [(1.0, 0.0)], params)[:3] == [[0], [], []]
 
     def test_small_or_clustered_layouts_keep_the_plain_scan(self):
         rng = random.Random(6)
         centers = [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(30)]
         users = [(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(80)]
-        self.assert_same(centers, users, 2.5, bucketed=False)
-        self.assert_same(centers, users, math.inf, bucketed=False)
+        self.assert_same(centers, users, link(radius=2.5), bucketed=False)
+        self.assert_same(centers, users, LINK, bucketed=False)
         # 15 UAVs spread far wider than 2 * radius still scan them all
         wide = [(7.0 * k, 0.0) for k in range(15)]
         self.assert_same(wide, [(7.0 * k + 1.0, 0.5) for k in range(15)],
-                         2.5, bucketed=False)
+                         link(radius=2.5), bucketed=False)
 
 
 class TestGreedyNonFinite:
@@ -311,37 +323,28 @@ class TestGreedyNonFinite:
 
 
 class TestGreedyBadParameters:
-    # NaN used to put every user on UAV 0, an infinite height or NaN
-    # exponent blamed user 0 for lying outside every field of view, a
-    # negative exponent put the user 0.1 m from UAV 0 on UAV 1, and a NaN
-    # radius served users past any field of view
+    # VlcParams checks the link's ranges, so greedy takes any link it builds
     CENTERS = [(0.0, 0.0), (5.0, 0.0)]
-    USERS = [(0.1, 0.0), (4.9, 0.0), (2.5, 0.0)]
-
-    @pytest.mark.parametrize("z_u", [math.nan, math.inf, 0.0, -8.0])
-    def test_height_rejected(self, z_u):
-        with pytest.raises(ValueError, match="^z_u must be finite and > 0$"):
-            greedy_min_size_clustering(self.CENTERS, self.USERS, EXPONENT, z_u)
-
-    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -2.0])
-    def test_exponent_rejected(self, exponent):
-        with pytest.raises(ValueError,
-                           match="^exponent must be finite and >= 0$"):
-            greedy_min_size_clustering(self.CENTERS, self.USERS, exponent, Z_U)
-
-    @pytest.mark.parametrize("radius", [math.nan, 0.0, -10.0])
-    def test_fov_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="^fov_ground_radius must be > 0$"):
-            greedy(self.CENTERS, [(25.0, 0.0)], fov_ground_radius=radius)
 
     def test_edges_of_the_ranges_allowed(self):
-        assert greedy(self.CENTERS, [(25.0, 0.0)],
-                      fov_ground_radius=math.inf).clusters == [[], [0]]
-        # a zero exponent prices every disk at 1, so UAV 0 takes everyone
-        assert greedy_min_size_clustering(
-            self.CENTERS, [(4.9, 0.0)], 0.0, Z_U).clusters == [[0], []]
+        # a 90 degree FOV reaches a user 25 m away; a 10 m radius does not
+        assert greedy(self.CENTERS, [(25.0, 0.0)]).clusters == [[], [0]]
         with pytest.raises(InfeasibleError):
-            greedy(self.CENTERS, [(25.0, 0.0)], fov_ground_radius=10.0)
+            greedy(self.CENTERS, [(25.0, 0.0)], link(radius=10.0))
+
+    def test_zero_fov_radius_is_infeasible(self):
+        # z_u * tan(1e-20 degrees) rounds to 0: only a user right under a
+        # UAV is in reach
+        params = VlcParams(detector_area=1e-4, refractive_index=1e-100,
+                           tx_semi_angle_deg=60.0, fov_semi_angle_deg=1e-20,
+                           uav_height=5e-324)
+        assert params.fov_ground_radius == 0.0
+        users = [(5.0, 0.0), (0.0, 0.0), (2.5, 0.0)]
+        assert greedy(self.CENTERS, users[:2], params).clusters == [[1], [0]]
+        with pytest.raises(InfeasibleError) as err:
+            greedy(self.CENTERS, users, params)
+        assert err.value.user_index == 2
+
 
 class TestGreedyVersusExhaustive:
     def test_never_beats_the_optimum_and_often_matches(self):

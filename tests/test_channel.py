@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (concentrator_gain, lambertian_order, link_constants,
                      min_power_illum, min_power_rate)
 from uavvlc.channel import (InfeasibleError, Requirements, VlcParams,
-                            capacity_lower_bound, channel_gain,
+                            _exponent, capacity_lower_bound, channel_gain,
                             constraint_coefficients, min_power_for_radius)
 
 # Hand-checked reference values for the defaults: A = 1e-4 m^2, n_r = 1.5,
@@ -95,6 +95,7 @@ class TestVlcParams:
         ("noise_std", 0.0),
         ("illum_factor", 0.0),
         ("uav_height", -8.0),
+        ("uav_height", 0.0),
         ("tx_semi_angle_deg", 90.0),
         ("tx_semi_angle_deg", 0.0),
         ("fov_semi_angle_deg", 91.0),
@@ -311,7 +312,7 @@ class TestConstraintCoefficients:
         c = constraint_coefficients(table_params(), Requirements(2.0, 0.1))
         assert c.v_illum == pytest.approx(V_ILLUM, rel=1e-12)
         assert c.rate_ratio == pytest.approx(RATE_RATIO, rel=1e-12)
-        assert c.exponent == 4.0
+        assert _exponent(table_params()) == 4.0
         assert c.prefactor == c.v_illum    # illuminance dominates here
 
     def test_rate_dominates_at_high_noise(self):

@@ -12,7 +12,7 @@ from oracles import (baseline_sa2, cluster_cost, exact_min_power_layout,
                      min_power_illum, min_power_rate, sed_bruteforce)
 import uavvlc.optimizer
 from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
-from uavvlc.channel import (InfeasibleError, Requirements,
+from uavvlc.channel import (InfeasibleError, Requirements, _exponent,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
@@ -500,7 +500,7 @@ class TestOptimize:
                 clusters[i].append(j)
             assoc = CellAssociation(clusters)
             _, total = evaluate_power(positions, assoc, users, COEFFS, PARAMS)
-            c = cluster_cost(assoc, positions, users, COEFFS.exponent, 8.0)
+            c = cluster_cost(assoc, positions, users, _exponent(PARAMS), 8.0)
             records.append((total, c))
         for total, c in records:
             assert total == pytest.approx(COEFFS.prefactor * c, rel=1e-12)
@@ -567,9 +567,7 @@ class TestRelocationPastTheFov:
         # the first round relocates users 3 and 4 about 1e-14 m past the FOV
         start = _start(self.USERS, self.CENTERS, nearest_position_association(
             self.USERS, self.CENTERS), PARAMS, None)[1]
-        assoc = greedy_min_size_clustering(
-            start.positions, self.USERS, COEFFS.exponent, PARAMS.uav_height,
-            fov_ground_radius=PARAMS.fov_ground_radius)
+        assoc = greedy_min_size_clustering(start.positions, self.USERS, PARAMS)
         assert assoc.clusters == [[0, 1, 2, 3, 4], []]
         moved = locate_uavs(assoc, self.USERS, start.positions)
         with pytest.raises(InfeasibleError, match="^user 4 is outside the "

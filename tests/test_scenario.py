@@ -18,11 +18,11 @@ from uavvlc.channel import (Requirements, VlcParams, channel_gain,
                             constraint_coefficients)
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import IterationEntry, _priced, optimize
-from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _layout,
-                             _mean_std, default_params, default_requirements,
-                             generate_scenario, make_grid, per_user_report,
-                             run_monte_carlo, run_monte_carlo_batches,
-                             solve_scenario)
+from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
+                             _scheme_layout, default_params,
+                             default_requirements, generate_scenario,
+                             make_grid, per_user_report, run_monte_carlo,
+                             run_monte_carlo_batches, solve_scenario)
 
 RATE_REQ = 2.0
 ILLUM_REQ = 0.1
@@ -331,7 +331,8 @@ class TestPricedLast:
         prefactors = [constraint_coefficients(params, r).prefactor
                       for r in reqs]
         for scheme in SCHEMES:
-            layout, trace = _layout(shared, scheme, 20, 1e-9)
+            layout, trace = _scheme_layout(shared.users, shared._layouts,
+                                           scheme, params, 20, 1e-9, None)
             sols = [_priced(layout, trace, p) for p in prefactors]
             for r, sol in zip(reqs, sols):
                 fresh = generate_scenario(seed, params=params, reqs=r)
@@ -339,13 +340,18 @@ class TestPricedLast:
 
     @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf), (4, 0.0)])
     def test_zero_prefactor(self, seed, sa1):
-        # every served user needs no power, and one past the FOV still
-        # makes its scheme infeasible, 0 * inf being NaN; proposed still
-        # descends on unit power, to its layout at a positive prefactor
+        # A 1e-40-bit need underflows the prefactor to 0, where the link
+        # delivers rate 0, so a family with it is rejected.  A scenario
+        # given it afterwards still prices: every served user needs no
+        # power, and one past the FOV still makes its scheme infeasible,
+        # 0 * inf being NaN; proposed still descends on unit power, to its
+        # layout at a positive prefactor
         params = replace(default_params(uav_height=2.0), noise_std=1e-320)
         reqs = Requirements(1e-40, 0.0)
         assert constraint_coefficients(params, reqs).prefactor == 0.0
-        scenario = generate_scenario(seed, params=params, reqs=reqs)
+        with pytest.raises(ValueError, match="^rate_threshold "):
+            generate_scenario(seed, params=params, reqs=reqs)
+        scenario = replace(generate_scenario(seed, params=params), reqs=reqs)
         totals = {scheme: solve_scenario(scenario, scheme) for scheme in SCHEMES}
         assert {scheme: (sol.total_power, sol.feasible)
                 for scheme, sol in totals.items()} == {
@@ -440,6 +446,23 @@ class TestScenarioConfig:
             run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
         assert runs == []
 
+    # a positive need whose prefactor underflowed to 0 was "feasible" at
+    # 0 W, and every user received light 0, below its 1e-300 floor
+    def test_rejects_a_positive_need_priced_at_zero_watts(self, monkeypatch):
+        params = replace(default_params(), illum_factor=1e100)
+        reqs = Requirements(0.0, 1e-300)
+        assert constraint_coefficients(params, reqs).prefactor == 0.0
+        message = "^rate_threshold .* beyond floating-point range"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(params=params, reqs=reqs)
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(seed=0, params=params, reqs=reqs)
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
+        assert runs == []
+
     # the gain at nadir overflowed, so a served user's rate was NaN; or its
     # z_u^2 rounded to 0, and per_user_report divided by zero
     @pytest.mark.parametrize("params", [
@@ -488,8 +511,8 @@ class TestScenarioConfig:
              illum=0.1)
     def test_accepted_links_serve_a_finite_positive_light(
             self, area, xi, height, noise, rate, illum):
-        # every served user's xi * P * h is finite, and positive unless the
-        # prefactor is 0; rate and light are never NaN
+        # every served user's xi * P * h is finite and positive, and its
+        # rate and light are never NaN
         try:
             params = VlcParams(detector_area=area, refractive_index=1.5,
                                tx_semi_angle_deg=60.0, fov_semi_angle_deg=60.0,
@@ -503,11 +526,9 @@ class TestScenarioConfig:
         sol = solve_scenario(config.scenario(0), "proposed")
         if not sol.feasible:
             return
-        positive = constraint_coefficients(params, reqs).prefactor > 0.0
         for report in per_user_report(sol, config.scenario(0).users, params):
             assert not math.isnan(report.achieved_rate)
-            assert 0.0 <= report.achieved_illum < math.inf
-            assert report.achieved_illum > 0.0 or not positive
+            assert 0.0 < report.achieved_illum < math.inf
 
     def test_accepts_largest_area_whose_double_is_finite(self):
         area_size = sys.float_info.max / 2
