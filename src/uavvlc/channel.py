@@ -192,11 +192,19 @@ class ConstraintCoefficients:
                      with M = (2 pi)^(3/2) sigma_w sqrt((2^(2 C_th)-1)/e)
                      and N = xi (m+1) A g z_u^(m+1).
 
-    Whichever coefficient is larger identifies the binding constraint.
+    Whichever coefficient is larger identifies the binding constraint.  Their
+    max, the prefactor, prices every link, so construction raises
+    OverflowError unless both are finite and >= 0 and the prefactor is > 0.
     """
 
     v_illum: float
     rate_ratio: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.v_illum < math.inf and 0.0 <= self.rate_ratio < math.inf
+                and self.prefactor > 0.0):    # NaN fails each comparison
+            raise OverflowError(f"power prefactor max({self.v_illum!r}, "
+                                f"{self.rate_ratio!r}) is not a positive finite double")
 
     @property
     def prefactor(self) -> float:
@@ -207,13 +215,11 @@ def constraint_coefficients(params: VlcParams,
                             reqs: Requirements) -> ConstraintCoefficients:
     """Fold parameters and thresholds into d^(m+3) power-law coefficients.
 
-    Raises OverflowError when the link constant N overflows, and
-    ZeroDivisionError when it underflows to 0."""
+    Raises OverflowError unless the prefactor is a positive finite double (an
+    infinite link constant N makes it 0), ZeroDivisionError when N is 0."""
     m = params.lambertian_m
     n_const = (params.illum_factor * (m + 1.0) * params.detector_area
                * params.fov_gain * params.uav_height ** (m + 1.0))
-    if not n_const < math.inf:    # the prefactor would be 0: every link free
-        raise OverflowError("xi (m+1) A g z_u^(m+1) is beyond floating-point range")
     v_illum = _TWO_PI * reqs.illum_threshold / n_const
     m_const = (_TWO_PI ** 1.5 * params.noise_std
                * math.sqrt(math.expm1(2.0 * reqs.rate_threshold * _LN2) / math.e))
@@ -228,7 +234,7 @@ def _exponent(params: VlcParams) -> float:
 def _unit_power(r: float, params: VlcParams) -> float:
     # (r^2 + z_u^2)^((m + 3) / 2), the power at a unit prefactor; inf past
     # the FOV ground radius.  Thresholds reach the power only through the
-    # prefactor, so one geometry priced by _powers serves every threshold.
+    # prefactor, so one geometry's unit powers serve every threshold.
     if not r >= 0.0:    # NaN fails it
         raise ValueError("horizontal distance must be >= 0")
     if r > params.fov_ground_radius:
@@ -237,20 +243,11 @@ def _unit_power(r: float, params: VlcParams) -> float:
     return (r * r + z * z) ** (0.5 * _exponent(params))
 
 
-def _powers(prefactor: float, units: list[float]) -> list[float]:
-    # prefactor * unit for each unit, but a user past the FOV (unit inf)
-    # stays unserved and an empty cell (unit 0) draws nothing at any
-    # prefactor: 0 * inf is NaN
-    return [prefactor * unit if 0.0 < unit < math.inf else unit
-            for unit in units]
-
-
 def min_power_for_radius(r: float, coeffs: ConstraintCoefficients,
                          params: VlcParams) -> float:
     """Minimum power to serve a user at horizontal distance r.
 
     Returns inf when r falls outside the FOV ground radius, where no power
-    serves the user, whatever the prefactor.
+    serves the user: a prefactor is positive and finite, so it times inf is inf.
     """
-    unit = _unit_power(r, params)
-    return unit if unit == math.inf else coeffs.prefactor * unit
+    return coeffs.prefactor * _unit_power(r, params)

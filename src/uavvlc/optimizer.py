@@ -22,8 +22,8 @@ and solve_scenario is their only route.  sa1 and uavoo are the proposed
 scheme's first two states ("init" and "locate"), built by _start, the one
 start builder that optimize and the scenario layouts both call.  A Monte
 Carlo run shares its SED centers between heights through _locate's
-centers map; a single solve passes none.  A layout is feasible
-when no unit power is inf, i.e. no user sits past its UAV's FOV.
+centers map; a single solve passes none.  A solution is feasible when
+its priced total is finite: no user past the FOV, no power overflowing.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
-                      VlcParams, _powers, _unit_power,
-                      constraint_coefficients)
+                      VlcParams, _unit_power, constraint_coefficients)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
 
@@ -126,9 +125,11 @@ def locate_uavs(association: CellAssociation,
                 users: Sequence[Sequence[float]],
                 previous_positions: Sequence[Sequence[float]]) -> list[Point2]:
     """SED center of each cluster; empty clusters keep their previous position.
-    A NaN or infinite coordinate raises ValueError."""
+    A NaN or infinite coordinate, or an association that does not partition
+    the users, raises ValueError."""
     if len(association.clusters) != len(previous_positions):
         raise ValueError("association and previous_positions disagree on UAV count")
+    association.labels(len(users))
     return _locate(association, users,
                    [Point2(x, y) for x, y in
                     _finite_points(previous_positions, "UAV position")], None)
@@ -157,7 +158,7 @@ def _locate(association: CellAssociation, users: Sequence[Sequence[float]],
 
 class _Layout(NamedTuple):
     # A deployment before any threshold: each cell's unit power (0 when
-    # empty, inf past the FOV, so feasible means no inf).
+    # empty, inf past the FOV).
     positions: list[Point2]
     association: CellAssociation
     units: list[float]
@@ -167,10 +168,7 @@ def _units(positions: Sequence[Sequence[float]],
            association: CellAssociation,
            users: Sequence[Sequence[float]], params: VlcParams) -> list[float]:
     # Per-UAV unit powers of a fixed deployment, each cell paying for its
-    # farthest user
-    if len(association.clusters) != len(positions):
-        raise ValueError(f"association has {len(association.clusters)} clusters "
-                         f"for {len(positions)} UAV positions")
+    # farthest user; the association is not checked
     units: list[float] = []
     for center, cluster in zip(positions, association.clusters):
         if cluster:
@@ -189,9 +187,15 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     """Per-UAV and total transmit power for a fixed deployment.
 
     Each non-empty cell pays for its farthest user; empty cells draw zero.
-    Raises InfeasibleError naming the UAV and user when someone sits
-    outside their serving UAV's field of view, whatever the prefactor.
+    Raises ValueError when the association and the positions disagree on
+    the UAV count, or when the association does not partition the users,
+    and InfeasibleError naming the UAV and user when someone sits outside
+    their serving UAV's field of view, where no power serves them.
     """
+    if len(association.clusters) != len(positions):
+        raise ValueError(f"association has {len(association.clusters)} clusters "
+                         f"for {len(positions)} UAV positions")
+    association.labels(len(users))
     units = _units(positions, association, users, params)
     if math.inf in units:
         i = units.index(math.inf)
@@ -199,26 +203,27 @@ def evaluate_power(positions: Sequence[Sequence[float]],
         raise InfeasibleError(
             f"user {j} is outside the field of view of UAV {i}",
             uav_index=i, user_index=j)
-    per = _powers(coeffs.prefactor, units)
+    per = [coeffs.prefactor * unit for unit in units]
     return per, math.fsum(per)
 
 
 def _total(prefactor: float, units: Sequence[float]) -> float:
     # total power at one prefactor; an inf unit (past the FOV) sums to inf
-    return math.fsum(_powers(prefactor, units))
+    return math.fsum([prefactor * unit for unit in units])
 
 
 def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
             prefactor: float) -> DeploymentSolution:
     # The layout and its (step, units) trace at one prefactor, sharing no
     # list with either; the only place a DeploymentSolution is built.
-    per = _powers(prefactor, layout.units)
+    per = [prefactor * unit for unit in layout.units]
+    total = math.fsum(per)
     return DeploymentSolution(
         list(layout.positions),
         CellAssociation([list(c) for c in layout.association.clusters]),
-        per, math.fsum(per),
+        per, total,
         [IterationEntry(_total(prefactor, units), step) for step, units in trace],
-        math.inf not in layout.units)
+        total < math.inf)
 
 
 def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],

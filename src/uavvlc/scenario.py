@@ -99,15 +99,14 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
         raise gain_error
     # The largest power any run can ask for: users and UAV positions lie in
     # the area, so no priced cell reaches past its diagonal or the FOV ground
-    # radius, and power grows with both the distance and the thresholds.  A
-    # valid need is positive, so a prefactor of 0 means that it underflowed.
+    # radius, and power grows with both the distance and the thresholds.
     radius = min(params.fov_ground_radius, area_size * math.sqrt(2.0))
     try:
         coeffs = constraint_coefficients(params, reqs)
         power = min_power_for_radius(radius, coeffs, params)
-    except (OverflowError, ZeroDivisionError):    # n_const out of range
+    except (OverflowError, ZeroDivisionError):    # no positive finite prefactor
         power = math.inf
-    if not (power < math.inf and coeffs.prefactor > 0.0):
+    if not power < math.inf:
         raise ValueError(
             f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
             f"{reqs.illum_threshold!r} at height {z!r} m puts the transmit "
@@ -184,7 +183,10 @@ class UserReport:
 def per_user_report(solution: DeploymentSolution,
                     users: Sequence[Sequence[float]],
                     params: VlcParams) -> list[UserReport]:
-    """Rate and illumination actually received by each user."""
+    """Rate and illumination actually received by each user.
+
+    Raises ValueError naming the first user whose received xi * P * h is
+    not a finite double, where its rate and light would read inf or NaN."""
     if not solution.feasible:
         raise ValueError("per-user reports require a feasible solution")
     labels = solution.association.labels(len(users))
@@ -193,10 +195,14 @@ def per_user_report(solution: DeploymentSolution,
         i = labels[j]
         h = channel_gain(solution.uav_positions[i], u, params)
         p = solution.per_uav_power[i]
+        light = params.illum_factor * p * h
+        if not light < math.inf:    # NaN fails it
+            raise ValueError(f"user {j} receives xi * P * h = {light!r}, "
+                             f"beyond floating-point range")
         reports.append(UserReport(
             user_index=j,
             achieved_rate=capacity_lower_bound(p, h, params),
-            achieved_illum=params.illum_factor * p * h,
+            achieved_illum=light,
             serving_uav=i))
     return reports
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (concentrator_gain, lambertian_order, link_constants,
                      min_power_illum, min_power_rate)
-from uavvlc.channel import (InfeasibleError, Requirements, VlcParams,
-                            _exponent, capacity_lower_bound, channel_gain,
+from uavvlc.channel import (ConstraintCoefficients, InfeasibleError,
+                            Requirements, VlcParams, _exponent, capacity_lower_bound, channel_gain,
                             constraint_coefficients, min_power_for_radius)
 
 # Hand-checked reference values for the defaults: A = 1e-4 m^2, n_r = 1.5,
@@ -327,11 +327,26 @@ class TestConstraintCoefficients:
             c.prefactor * 8.0 ** 4, rel=1e-12)
 
     def test_link_constant_overflow_raises(self):
-        # xi (m+1) overflows before A shrinks it: the prefactor read 0, and
-        # every user was priced at 0 W
-        with pytest.raises(OverflowError, match="^xi .* floating-point range$"):
+        # xi (m+1) overflows before A shrinks it: N is inf, both coefficients
+        # are 0, and every user would be priced at 0 W
+        with pytest.raises(OverflowError, match=r"^power prefactor max\(0\.0, "
+                           r"0\.0\) is not a positive finite double$"):
             constraint_coefficients(table_params(illum_factor=1.7e308),
                                     Requirements(2.0, 0.1))
+
+    @pytest.mark.parametrize("v_illum, rate_ratio", [
+        (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_a_prefactor_that_cannot_price_is_rejected(self, v_illum,
+                                                       rate_ratio):
+        # max(1.0, nan) is 1.0, so each coefficient is checked, not only the max
+        with pytest.raises(OverflowError, match="^power prefactor "):
+            ConstraintCoefficients(v_illum, rate_ratio)
+
+    @pytest.mark.parametrize("v_illum, rate_ratio", [
+        (5e-324, 0.0), (0.0, 1.7e308), (2.0, 3.0)])
+    def test_a_positive_finite_prefactor_prices(self, v_illum, rate_ratio):
+        coeffs = ConstraintCoefficients(v_illum, rate_ratio)
+        assert coeffs.prefactor == max(v_illum, rate_ratio)
 
     def test_agrees_with_per_link_minimum(self):
         # max(rate power, illuminance power) at distance r must equal the

@@ -12,7 +12,8 @@ from oracles import (baseline_sa2, cluster_cost, exact_min_power_layout,
                      min_power_illum, min_power_rate, sed_bruteforce)
 import uavvlc.optimizer
 from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
-from uavvlc.channel import (InfeasibleError, Requirements, _exponent,
+from uavvlc.channel import (ConstraintCoefficients, InfeasibleError,
+                            Requirements, _exponent,
                             constraint_coefficients, min_power_for_radius)
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
@@ -312,16 +313,17 @@ class TestEvaluatePower:
         assert err.value.user_index == 1
 
     def test_zero_prefactor_still_rejects_out_of_fov(self):
-        # no power serves a user past the FOV, even where every served user
-        # needs none: 0 * inf would be NaN
+        # a need that underflows the prefactor to 0 no longer prices at all;
+        # the smallest positive prefactor still serves no user past the FOV
         params = replace(default_params(), noise_std=1e-320)
-        coeffs = constraint_coefficients(params, Requirements(1e-40, 0.0))
-        assert coeffs.prefactor == 0.0
+        with pytest.raises(OverflowError, match="^power prefactor "):
+            constraint_coefficients(params, Requirements(1e-40, 0.0))
+        coeffs = ConstraintCoefficients(5e-324, 0.0)
         users = [(0.0, 0.0), (1.0, 0.0), (20.0, 0.0)]
         per, total = evaluate_power([(0.0, 0.0), (5.0, 5.0)],
                                     CellAssociation([[0, 1], []]), users[:2],
                                     coeffs, params)
-        assert per == [0.0, 0.0] and total == 0.0
+        assert per == [5e-324 * 65.0 ** 2, 0.0] and total == per[0] > 0.0
         with pytest.raises(InfeasibleError) as err:
             evaluate_power([(0.0, 0.0), (5.0, 5.0)],
                            CellAssociation([[0], [1, 2]]), users, coeffs, params)
@@ -329,8 +331,8 @@ class TestEvaluatePower:
 
 
 class TestCountMismatch:
-    """_units is the one pricing path, so a deployment whose association and
-    positions disagree on the UAV count is rejected, never priced short."""
+    """evaluate_power rejects a deployment whose association and positions
+    disagree on the UAV count, never pricing it short."""
 
     USERS = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
     CASES = [([(0.0, 0.0), (5.0, 5.0)], [[0, 1, 2]]),
@@ -344,13 +346,40 @@ class TestCountMismatch:
                            COEFFS, PARAMS)
 
 
+class TestBrokenPartition:
+    """A user priced through index -1, priced twice or left out was priced
+    without a word; evaluate_power and locate_uavs take only a partition."""
+
+    USERS = [(1.0, 1.0), (2.0, 3.0), (6.0, 7.0)]
+    POSITIONS = [(2.5, 2.5), (7.5, 7.5)]
+
+    @pytest.mark.parametrize("clusters", [[[0, 1, -1], []], [[0, 1], [1, 2]],
+                                          [[0], [1]], [[0, 1, 2], [3]]],
+                             ids=["negative", "twice", "missing", "beyond"])
+    def test_rejected(self, clusters):
+        message = "^clusters do not partition the users$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_power(self.POSITIONS, CellAssociation(clusters),
+                           self.USERS, COEFFS, PARAMS)
+        with pytest.raises(ValueError, match=message):
+            locate_uavs(CellAssociation(clusters), self.USERS, self.POSITIONS)
+
+    def test_the_count_is_named_first(self):
+        broken = CellAssociation([[0, 1, -1], [], []])
+        with pytest.raises(ValueError, match="^association has 3 clusters "):
+            evaluate_power(self.POSITIONS, broken, self.USERS, COEFFS, PARAMS)
+        with pytest.raises(ValueError, match="^association and previous_positions "):
+            locate_uavs(broken, self.USERS, self.POSITIONS)
+
+
 class TestInfeasibleReports:
     """An infeasible deployment prices its feasible cells as evaluate_power
     does, its violating cell as inf and its total as inf."""
 
     def assert_report(self, sol, users, step):
+        # cell 0 alone, over the four users it serves
         cell = CellAssociation([[0, 1, 2, 3]])
-        expected, _ = evaluate_power(sol.uav_positions[:1], cell, users,
+        expected, _ = evaluate_power(sol.uav_positions[:1], cell, users[:4],
                                      COEFFS, PARAMS)
         assert sol.per_uav_power == [expected[0], math.inf]
         assert not sol.feasible

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import uavvlc
 import uavvlc.scenario
 from oracles import baseline_sa2
-from uavvlc.channel import (Requirements, VlcParams, channel_gain,
-                            constraint_coefficients)
+from uavvlc.channel import (ConstraintCoefficients, Requirements, VlcParams,
+                            channel_gain, constraint_coefficients)
 from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import IterationEntry, _priced, optimize
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
@@ -242,6 +242,17 @@ class TestPerUserReport:
             assert reports[far].achieved_rate == pytest.approx(worst,
                                                                rel=1e-12)
 
+    def test_light_beyond_floating_point_range_raises(self):
+        # xi * P overflows and h underflows to 0, so user 0 read rate and
+        # light nan; the prefactor (3.3e120) is a valid price
+        params = replace(default_params(), detector_area=5e-324,
+                         illum_factor=1e200)
+        sc = replace(generate_scenario(0), params=params)
+        sol = solve_scenario(sc, "proposed")
+        assert sol.feasible and math.isfinite(sol.total_power)
+        with pytest.raises(ValueError, match="^user 0 receives xi \\* P \\* h = nan"):
+            per_user_report(sol, sc.users, params)
+
     def test_requires_feasible_solution(self):
         low = default_params(uav_height=2.0)
         sc = generate_scenario(seed=0, params=low)
@@ -338,32 +349,21 @@ class TestPricedLast:
                 fresh = generate_scenario(seed, params=params, reqs=r)
                 assert bits(sol) == bits(solve_scenario(fresh, scheme)), (scheme, r)
 
-    @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf), (4, 0.0)])
-    def test_zero_prefactor(self, seed, sa1):
+    def test_zero_prefactor(self):
         # A 1e-40-bit need underflows the prefactor to 0, where the link
         # delivers rate 0, so a family with it is rejected.  A scenario
-        # given it afterwards still prices: every served user needs no
-        # power, and one past the FOV still makes its scheme infeasible,
-        # 0 * inf being NaN; proposed still descends on unit power, to its
-        # layout at a positive prefactor
+        # given it afterwards priced every served user at 0 W; now no
+        # scheme prices it
         params = replace(default_params(uav_height=2.0), noise_std=1e-320)
         reqs = Requirements(1e-40, 0.0)
-        assert constraint_coefficients(params, reqs).prefactor == 0.0
+        with pytest.raises(OverflowError, match="^power prefactor "):
+            constraint_coefficients(params, reqs)
         with pytest.raises(ValueError, match="^rate_threshold "):
-            generate_scenario(seed, params=params, reqs=reqs)
-        scenario = replace(generate_scenario(seed, params=params), reqs=reqs)
-        totals = {scheme: solve_scenario(scenario, scheme) for scheme in SCHEMES}
-        assert {scheme: (sol.total_power, sol.feasible)
-                for scheme, sol in totals.items()} == {
-            "proposed": (0.0, True), "uavoo": (0.0, True),
-            "sa1": (sa1, sa1 == 0.0), "sa2": (math.inf, False)}
-        assert not any(math.isnan(p) for sol in totals.values()
-                       for p in sol.per_uav_power)
-        positive = replace(scenario, reqs=default_requirements())
-        assert constraint_coefficients(params, positive.reqs).prefactor > 0.0
-        priced = solve_scenario(positive, "proposed")
-        assert totals["proposed"].uav_positions == priced.uav_positions
-        assert totals["proposed"].association == priced.association
+            generate_scenario(0, params=params, reqs=reqs)
+        scenario = replace(generate_scenario(0, params=params), reqs=reqs)
+        for scheme in SCHEMES:
+            with pytest.raises(OverflowError, match="^power prefactor "):
+                solve_scenario(scenario, scheme)
 
     def test_proposed_layout_is_the_same_at_every_rate(self):
         # rounds compare on unit power, so no rate keeps a round that is
@@ -377,6 +377,38 @@ class TestPricedLast:
             layouts.add(repr((sol.uav_positions, sol.association,
                               [entry.step for entry in sol.iterations])))
         assert len(layouts) == 1
+
+
+class TestUncheckedScenario:
+    """A Scenario built by dataclasses.replace skips ScenarioConfig's rules,
+    so pricing itself must refuse a link it cannot price: these three were
+    "feasible" at 0 W, at inf W, and at a total of inf W."""
+
+    USERS = [(1.0, 1.0), (2.0, 3.0), (6.0, 7.0)]
+    POSITIONS = [(2.5, 2.5), (7.5, 7.5)]
+
+    @pytest.mark.parametrize("params, reqs, coeffs", [
+        (replace(default_params(uav_height=2.0), noise_std=1e-320),
+         Requirements(1e-40, 0.0), (0.0, 0.0)),
+        (replace(default_params(), detector_area=5e-324),
+         default_requirements(), (math.inf, 1.0)),
+        (default_params(), Requirements(2.0, 1e303), None)],
+        ids=["zero", "inf", "total-overflow"])
+    def test_rejected_or_infeasible(self, params, reqs, coeffs):
+        scenario = replace(generate_scenario(0), params=params, reqs=reqs)
+        if coeffs is not None:
+            with pytest.raises(OverflowError, match="^power prefactor "):
+                ConstraintCoefficients(*coeffs)
+            with pytest.raises(OverflowError, match="^power prefactor "):
+                optimize(self.USERS, self.POSITIONS, params, reqs)
+            with pytest.raises(OverflowError, match="^power prefactor "):
+                solve_scenario(scenario, "proposed")
+            return
+        solutions = [optimize(self.USERS, self.POSITIONS, params, reqs)]
+        solutions += [solve_scenario(scenario, scheme) for scheme in SCHEMES]
+        for sol in solutions:
+            assert sol.feasible is False
+            assert math.isfinite(sol.total_power) == sol.feasible
 
 
 class TestScenarioConfig:
@@ -451,7 +483,8 @@ class TestScenarioConfig:
     def test_rejects_a_positive_need_priced_at_zero_watts(self, monkeypatch):
         params = replace(default_params(), illum_factor=1e100)
         reqs = Requirements(0.0, 1e-300)
-        assert constraint_coefficients(params, reqs).prefactor == 0.0
+        with pytest.raises(OverflowError, match="^power prefactor "):
+            constraint_coefficients(params, reqs)
         message = "^rate_threshold .* beyond floating-point range"
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(params=params, reqs=reqs)
