@@ -349,21 +349,29 @@ class TestPricedLast:
                 fresh = generate_scenario(seed, params=params, reqs=r)
                 assert bits(sol) == bits(solve_scenario(fresh, scheme)), (scheme, r)
 
-    def test_zero_prefactor(self):
+    @pytest.mark.parametrize("seed,sa1", [(0, 0.0), (9, math.inf), (4, 0.0)])
+    def test_zero_prefactor(self, seed, sa1):
         # A 1e-40-bit need underflows the prefactor to 0, where the link
         # delivers rate 0, so a family with it is rejected.  A scenario
-        # given it afterwards priced every served user at 0 W; now no
-        # scheme prices it
+        # given it afterwards priced every served user at 0 W (sa1 at inf
+        # where a user lies past its FOVs); now no scheme prices it, and
+        # at a positive prefactor each scheme is feasible as it was then
         params = replace(default_params(uav_height=2.0), noise_std=1e-320)
         reqs = Requirements(1e-40, 0.0)
         with pytest.raises(OverflowError, match="^power prefactor "):
             constraint_coefficients(params, reqs)
         with pytest.raises(ValueError, match="^rate_threshold "):
-            generate_scenario(0, params=params, reqs=reqs)
-        scenario = replace(generate_scenario(0, params=params), reqs=reqs)
+            generate_scenario(seed, params=params, reqs=reqs)
+        scenario = replace(generate_scenario(seed, params=params), reqs=reqs)
         for scheme in SCHEMES:
             with pytest.raises(OverflowError, match="^power prefactor "):
                 solve_scenario(scenario, scheme)
+        positive = replace(scenario, reqs=default_requirements())
+        assert constraint_coefficients(params, positive.reqs).prefactor > 0.0
+        feasible = {scheme: solve_scenario(positive, scheme).feasible
+                    for scheme in SCHEMES}
+        assert feasible == {"proposed": True, "uavoo": True,
+                            "sa1": sa1 == 0.0, "sa2": False}
 
     def test_proposed_layout_is_the_same_at_every_rate(self):
         # rounds compare on unit power, so no rate keeps a round that is
