@@ -215,11 +215,14 @@ def constraint_coefficients(params: VlcParams,
                             reqs: Requirements) -> ConstraintCoefficients:
     """Fold parameters and thresholds into d^(m+3) power-law coefficients.
 
-    Raises OverflowError unless the prefactor is a positive finite double (an
-    infinite link constant N makes it 0), ZeroDivisionError when N is 0."""
+    Raises OverflowError unless the prefactor is a positive finite double: an
+    infinite link constant N makes it 0, and an N that underflows to 0 makes
+    it infinite."""
     m = params.lambertian_m
     n_const = (params.illum_factor * (m + 1.0) * params.detector_area
                * params.fov_gain * params.uav_height ** (m + 1.0))
+    if n_const == 0.0:    # both coefficients divide by N: infinite, so rejected
+        return ConstraintCoefficients(math.inf, math.inf)
     v_illum = _TWO_PI * reqs.illum_threshold / n_const
     m_const = (_TWO_PI ** 1.5 * params.noise_std
                * math.sqrt(math.expm1(2.0 * reqs.rate_threshold * _LN2) / math.e))

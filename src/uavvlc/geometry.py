@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Containment checks accept a point this far outside the stated radius so
 # that boundary points survive rounding; scaled by radius for large disks.
@@ -121,8 +121,8 @@ def smallest_enclosing_disk(
     seeded generator (so results are reproducible), then folded in one at a
     time.  A point outside the current disk must lie on the boundary of the
     final disk over the prefix, which restarts the scan with that point
-    pinned; the same argument pins a second point one level down, after
-    which the best disk is found by scanning circumcircles.
+    pinned; one level down a second point is pinned, and each point outside
+    the disk then makes it the circle through that point and the two pinned.
 
     From 8 points on, points that are not convex hull vertices are dropped
     after the shuffle, the rest keeping their order; they never fix the
@@ -184,64 +184,38 @@ def _sed_two_boundary(
     p: tuple[float, float],
     q: tuple[float, float],
 ) -> tuple[float, float, float]:
-    # Smallest disk over pts[: end + 1] with both p and q on the boundary.
-    # Candidate centers lie on the perpendicular bisector of pq; track the
-    # extreme circumcircle on each side of the line pq and keep the smaller.
-    # The conditionals below are max and min with the builtins' tie rules.
+    # Smallest disk over pts[: end + 1] with p and q on its boundary: from pq's
+    # diameter disk, each point outside makes it the circle through p, q and it.
     px, py = p
     qx, qy = q
     hypot = math.hypot
-    # the disk on pq as diameter, as in _sed_one_boundary
-    mx = (px + qx) / 2.0
-    my = (py + qy) / 2.0
-    ra = hypot(px - mx, py - my)
-    rb = hypot(qx - mx, qy - my)
-    mr = rb if rb > ra else ra
-    bound = _bound(mr)
-    left: Optional[tuple[float, float, float]] = None
-    right: Optional[tuple[float, float, float]] = None
-    left_x = right_x = 0.0
-    dx, dy = qx - px, qy - py
+    cx = (px + qx) / 2.0
+    cy = (py + qy) / 2.0
+    r = max(hypot(px - cx, py - cy), hypot(qx - cx, qy - cy))
+    bound = _bound(r)
     lo_x, hi_x = qx if qx < px else px, qx if qx > px else px
     lo_y, hi_y = qy if qy < py else py, qy if qy > py else py
     for k in range(end + 1):
-        rx, ry = pts[k]
-        if hypot(rx - mx, ry - my) <= bound:
+        sx, sy = pts[k]
+        if hypot(sx - cx, sy - cy) <= bound:
             continue
-        # which side of the line pq r lies on; on the line (or NaN) it
-        # picks no side, so its circumcircle is not needed
-        side = dx * (ry - py) - dy * (rx - px)
-        if not (side > 0.0 or side < 0.0):
-            continue
-        # The circumcircle of p, q and r, solved with the three translated
-        # so that their bounding-box midpoint o sits at the origin; this
-        # keeps the determinant test meaningful far from the origin.
-        ox = ((rx if rx < lo_x else lo_x) + (rx if rx > hi_x else hi_x)) / 2.0
-        oy = ((ry if ry < lo_y else lo_y) + (ry if ry > hi_y else hi_y)) / 2.0
+        # The circumcircle of p, q and s, solved about their bounding-box midpoint
+        # o (min and max as the builtins tie) to keep the guard meaningful far out.
+        ox = ((sx if sx < lo_x else lo_x) + (sx if sx > hi_x else hi_x)) / 2.0
+        oy = ((sy if sy < lo_y else lo_y) + (sy if sy > hi_y else hi_y)) / 2.0
         ax, ay = px - ox, py - oy
         bx, by = qx - ox, qy - oy
-        cx, cy = rx - ox, ry - oy
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
+        tx, ty = sx - ox, sy - oy
+        d = 2.0 * (ax * (by - ty) + bx * (ty - ay) + tx * (ay - by))
+        scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(tx), abs(ty))
         if abs(d) <= _DET_GUARD * max(1.0, scale * scale):
-            continue    # (near) collinear
-        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-        x = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d + ox
-        y = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d + oy
+            continue    # (near) collinear: no circle through the three
+        a2, b2, t2 = ax * ax + ay * ay, bx * bx + by * by, tx * tx + ty * ty
+        cx = (a2 * (by - ty) + b2 * (ty - ay) + t2 * (ay - by)) / d + ox
+        cy = (a2 * (tx - bx) + b2 * (ax - tx) + t2 * (bx - ax)) / d + oy
         # Radius from the rounded center, so that the disk covers its own
-        # points where rounding x + ox exceeds the slack (coordinates ~1e8).
-        cand = (x, y, max(hypot(x - px, y - py), hypot(x - qx, y - qy),
-                          hypot(x - rx, y - ry)))
-        cand_x = dx * (y - py) - dy * (x - px)
-        if side > 0.0:
-            if left is None or cand_x > left_x:
-                left, left_x = cand, cand_x
-        elif right is None or cand_x < right_x:
-            right, right_x = cand, cand_x
-    if left is None and right is None:
-        return mx, my, mr
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+        # points where rounding the center exceeds the slack (coordinates ~1e8).
+        r = max(hypot(cx - px, cy - py), hypot(cx - qx, cy - qy),
+                hypot(cx - sx, cy - sy))
+        bound = _bound(r)
+    return cx, cy, r

@@ -83,7 +83,7 @@ def _fixed_layouts(users: Sequence[Point2], sub_areas: Sequence[Rect],
 
 
 def _check_layout(area_size: float, num_users: int, params: VlcParams,
-                  reqs: Requirements) -> None:
+                  reqs: Requirements, cells: int) -> None:
     # NaN fails each comparison; x0 + x1 of a sub-area is <= 2 * area_size
     if not (0.0 < area_size and 2.0 * area_size < math.inf):
         raise ValueError("area_size must be > 0 with 2 * area_size finite")
@@ -99,18 +99,23 @@ def _check_layout(area_size: float, num_users: int, params: VlcParams,
         raise gain_error
     # The largest power any run can ask for: users and UAV positions lie in
     # the area, so no priced cell reaches past its diagonal or the FOV ground
-    # radius, and power grows with both the distance and the thresholds.
+    # radius, and power grows with both the distance and the thresholds.  A
+    # total sums one power (or unit power) per cell, each at most this one.
     radius = min(params.fov_ground_radius, area_size * math.sqrt(2.0))
     try:
         coeffs = constraint_coefficients(params, reqs)
         power = min_power_for_radius(radius, coeffs, params)
-    except (OverflowError, ZeroDivisionError):    # no positive finite prefactor
+    except OverflowError:    # no positive finite prefactor
         power = math.inf
-    if not power < math.inf:
+    if not cells * power < math.inf:
         raise ValueError(
             f"rate_threshold {reqs.rate_threshold!r} bits with illum_threshold "
-            f"{reqs.illum_threshold!r} at height {z!r} m puts the transmit "
-            f"power or the link budget beyond floating-point range")
+            f"{reqs.illum_threshold!r} at height {z!r} m over {cells} cells puts "
+            f"the total transmit power or the link budget beyond floating-point range")
+    if not cells * _unit_power(radius, params) < math.inf:
+        raise ValueError(f"uav_height {z!r} m over {cells} cells puts the total "
+                         f"unit power (r^2 + z^2)^((m + 3) / 2) beyond "
+                         f"floating-point range")
     if not z * z > 0.0:
         raise gain_error
     # What a served user receives, xi * P * h as per_user_report computes it,
@@ -212,7 +217,7 @@ class ScenarioConfig:
     """Everything needed to regenerate a family of scenarios; construction
     rejects a bad area_size, grid, num_users, base_seed, max_iters or rel_tol,
     and thresholds whose power at the farthest reachable user overflows or
-    underflows to 0."""
+    underflows to 0, or whose sum over the grid's cells overflows."""
 
     area_size: float = 10.0
     grid: tuple[int, int] = (2, 2)
@@ -224,8 +229,8 @@ class ScenarioConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        _check_layout(self.area_size, self.num_users, self.params, self.reqs)
-        self._grid    # make_grid rejects a bad grid
+        _check_layout(self.area_size, self.num_users, self.params, self.reqs,
+                      len(self._grid[1]))    # make_grid rejects a bad grid
         if not self.base_seed >= 0:     # Random(-k) draws as Random(k) does
             raise ValueError("base_seed must be >= 0")
         _check_descent(self.max_iters, self.rel_tol)

@@ -29,10 +29,9 @@ _MEMBERSHIP_TOL = 1e-10
 _DET_GUARD = 1e-12
 
 
-# The smallest-enclosing-disk loop and its helpers as the package ran them
-# before its kernel was inlined: prefix slices, _covers with *disk
-# unpacking and function calls throughout, so the kernel is checked
-# against code it does not share.
+# The smallest-enclosing-disk loop and its helpers written plainly: prefix
+# slices, _covers with *disk unpacking and function calls throughout, so
+# the kernel is checked against code it does not share.
 
 
 def _covers(cx: float, cy: float, r: float, p: Sequence[float]) -> bool:
@@ -84,7 +83,7 @@ def _cross(ox: float, oy: float, px: float, py: float, qx: float, qy: float) -> 
 
 
 def _sed_one_boundary(
-    pts: Sequence[tuple[float, float]], p: tuple[float, float]
+    pts: Sequence[tuple[float, float]], p: tuple[float, float], two_boundary
 ) -> tuple[float, float, float]:
     # Smallest disk over pts with p known to lie on the boundary.
     disk = (p[0], p[1], 0.0)
@@ -93,7 +92,7 @@ def _sed_one_boundary(
             if disk[2] == 0.0:
                 disk = _diameter_disk(p, q)
             else:
-                disk = _sed_two_boundary(pts[: i + 1], p, q)
+                disk = two_boundary(pts[: i + 1], p, q)
     return disk
 
 
@@ -102,9 +101,25 @@ def _sed_two_boundary(
     p: tuple[float, float],
     q: tuple[float, float],
 ) -> tuple[float, float, float]:
-    # Smallest disk over pts with both p and q on the boundary.  Candidate
-    # centers lie on the perpendicular bisector of pq; track the extreme
-    # circumcircle on each side of the line pq and keep the smaller.
+    # Smallest disk over pts with both p and q on the boundary, the textbook
+    # step (Welzl 1991; de Berg et al. 4.7, MiniDiscWith2Points): each point
+    # outside the disk makes it the circumcircle of p, q and that point, and
+    # a (near) collinear point leaves it as it is.
+    disk = _diameter_disk(p, q)
+    for r_pt in pts:
+        if not _covers(*disk, r_pt):
+            disk = _circumdisk(p, q, r_pt) or disk
+    return disk
+
+
+def _sed_two_boundary_extremes(
+    pts: Sequence[tuple[float, float]],
+    p: tuple[float, float],
+    q: tuple[float, float],
+) -> tuple[float, float, float]:
+    # The same disk by a second route that reads pts in no order: candidate
+    # centers lie on the perpendicular bisector of pq; keep the extreme
+    # circumcircle on each side of the line pq, then the smaller of the two.
     circ = _diameter_disk(p, q)
     left: Optional[tuple[float, float, float]] = None
     right: Optional[tuple[float, float, float]] = None
@@ -182,10 +197,12 @@ def sed_bruteforce(points: Iterable[Sequence[float]]) -> Disk:
     return Disk(Point2(best[0], best[1]), best[2])
 
 
-def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0) -> Disk:
+def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0,
+                   two_boundary=_sed_two_boundary) -> Disk:
     """The randomized incremental disk on every point, interior ones too.
 
-    Shuffles with random.Random(rng_seed) and runs the loop above, with
+    Shuffles with random.Random(rng_seed) and runs the loop above with
+    two_boundary as its two-point step (the textbook one by default), with
     no convex-hull filter and no cached shuffle order.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
@@ -195,7 +212,7 @@ def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0) -> Disk
     disk: Optional[tuple[float, float, float]] = None
     for i, p in enumerate(pts):
         if disk is None or not _covers(*disk, p):
-            disk = _sed_one_boundary(pts[: i + 1], p)
+            disk = _sed_one_boundary(pts[: i + 1], p, two_boundary)
     assert disk is not None
     return Disk(Point2(disk[0], disk[1]), disk[2])
 

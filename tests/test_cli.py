@@ -199,6 +199,10 @@ class TestBadNumbers:
         ((), "rate_threshold_bits = 600", "thresholds"),
         ((), "illum_threshold = 1e303", "thresholds"),
         (("--mode", "sweep", "--cth-sweep", "1:600:599"), "", "cth_sweep"),
+        # four finite cell powers, or unit powers, sum past the double range
+        pytest.param((), "area_size = 1\nillum_threshold = 1.4e302", "thresholds",
+                     id="total-power"),
+        pytest.param(("--height", "1e77"), "", "heights", id="total-unit-power"),
     ])
     def test_overflowing_threshold(self, tmp_path, capsys, args, text, key):
         path = tmp_path / "big.cfg"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _sed_two_boundary as sed_two_boundary_reference
+from oracles import _sed_two_boundary_extremes as sed_two_boundary_extremes
 from oracles import hull_reference, sed_bruteforce, sed_unfiltered
 from uavvlc.geometry import (Disk, Point2, Rect, _hull_vertices,
                              _sed_two_boundary, _shuffle_order,
@@ -122,13 +123,16 @@ def on_circle(rng, n, cx=3.0, cy=-1.0, r=2.0):
 class TestHullFilter:
     """The hull-filtered disk equals the unfiltered loop, bit for bit."""
 
-    # every size on both sides of the 8-point hull crossover, then larger
+    # every size on both sides of the 8-point hull crossover, then larger;
+    # on these sets the order-free two-point step gives the same bits too
     @pytest.mark.parametrize("n", [*range(1, 21), 50, 300, 2000])
     def test_matches_unfiltered_on_uniform_sets(self, n):
         rng = random.Random(n)
         for seed in range(12 if n < 300 else 2):
             pts = random_points(rng, n)
-            assert smallest_enclosing_disk(pts, seed) == sed_unfiltered(pts, seed)
+            disk = smallest_enclosing_disk(pts, seed)
+            assert disk == sed_unfiltered(pts, seed)
+            assert disk == sed_unfiltered(pts, seed, sed_two_boundary_extremes)
 
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     @pytest.mark.parametrize("kind", ["duplicates", "collinear",
@@ -205,10 +209,29 @@ class TestSedProperty:
             assert disk == sed_unfiltered(pts, seed)
 
 
+class TestCoCircular:
+    """Points on one circle tie on the boundary, so the shuffle decides which
+    of them fix the disk: every order still gives a disk that covers every
+    point and has the smallest radius, exact or 1e-12 off the circle."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12])
+    def test_every_shuffle_covers_and_is_smallest(self, jitter):
+        rng = random.Random(29)
+        for _ in range(100):
+            circle = on_circle(rng, rng.randint(3, 12), rng.uniform(-20.0, 20.0),
+                               rng.uniform(-20.0, 20.0), rng.uniform(0.5, 20.0))
+            pts = [(x + rng.uniform(-jitter, jitter), y + rng.uniform(-jitter, jitter))
+                   for x, y in circle]
+            ref = sed_bruteforce(pts)
+            for seed in range(20):
+                disk = smallest_enclosing_disk(pts, seed)
+                assert all(disk.contains(p) for p in pts)
+                assert abs(disk.radius - ref.radius) <= 1e-9
+
 
 class TestTwoBoundaryExits:
-    """The two-boundary step's exits that random sets hardly reach: each
-    rounding-only path gives the oracle's disk bit for bit."""
+    """The two-boundary step's paths that random sets hardly reach: each
+    gives the oracle's disk bit for bit."""
 
     P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -227,17 +250,22 @@ class TestTwoBoundaryExits:
         assert self.disk((100.0, 1e-12)) == (1.0, 0.0, 1.0)
         assert self.disk((-100.0, -1e-12), (1.0, 1.5))[1] > 0.0
 
-    @pytest.mark.parametrize("above,below,keep_above", [
-        ((1.0, 1.5), (1.0, -1.2), False),
-        ((1.0, 1.2), (1.0, -1.5), True),
-        ((1.0, 1.5), (1.0, -1.5), True),    # a tie keeps the left circle
-        ((0.5, 3.0), (1.7, -0.9), False)])
-    def test_outside_points_on_both_sides_keep_the_smaller_circle(
-            self, above, below, keep_above):
-        for outside in ((above, below), (below, above)):
-            x, y, r = self.disk(*outside)
-            assert (y > 0.0) == keep_above
-            assert r > 1.0
+    # No disk through p and q covers outside points on both sides of pq, so
+    # a feasible call has its outside points on one side; the others may lie
+    # on either.  Each order gives the smallest enclosing disk of the set.
+    @pytest.mark.parametrize("others", [
+        [(1.0, 1.5), (1.0, -0.3)],
+        [(1.0, 1.5), (0.5, 1.6), (1.0, -0.3)],
+        [(1.0, -1.2), (0.4, -1.3), (1.5, 0.2)]])
+    def test_points_on_both_sides_give_the_smallest_disk(self, others):
+        for outside in (others, others[::-1]):
+            got = self.disk(*outside)
+            pts = [self.P, *outside, self.Q]
+            assert got == sed_two_boundary_extremes(pts, self.P, self.Q)
+            ref = sed_bruteforce(pts)
+            assert dist(got[:2], ref.center) <= 1e-9
+            assert abs(got[2] - ref.radius) <= 1e-9
+            assert got[2] > 1.0
 
 class TestNonFinite:
     # a NaN at index 0, axis 0 used to be left out of the disk silently

@@ -389,8 +389,9 @@ class TestPricedLast:
 
 class TestUncheckedScenario:
     """A Scenario built by dataclasses.replace skips ScenarioConfig's rules,
-    so pricing itself must refuse a link it cannot price: these three were
-    "feasible" at 0 W, at inf W, and at a total of inf W."""
+    so pricing itself must refuse a link it cannot price: the first three
+    were "feasible" at 0 W, at inf W, and at a total of inf W, and the last,
+    whose link constant N underflows to 0, raised ZeroDivisionError."""
 
     USERS = [(1.0, 1.0), (2.0, 3.0), (6.0, 7.0)]
     POSITIONS = [(2.5, 2.5), (7.5, 7.5)]
@@ -400,8 +401,10 @@ class TestUncheckedScenario:
          Requirements(1e-40, 0.0), (0.0, 0.0)),
         (replace(default_params(), detector_area=5e-324),
          default_requirements(), (math.inf, 1.0)),
-        (default_params(), Requirements(2.0, 1e303), None)],
-        ids=["zero", "inf", "total-overflow"])
+        (default_params(), Requirements(2.0, 1e303), None),
+        (default_params(uav_height=1e-300), default_requirements(),
+         (math.inf, math.inf))],
+        ids=["zero", "inf", "total-overflow", "n-underflow"])
     def test_rejected_or_infeasible(self, params, reqs, coeffs):
         scenario = replace(generate_scenario(0), params=params, reqs=reqs)
         if coeffs is not None:
@@ -485,6 +488,40 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(replace(ScenarioConfig(), params=params, reqs=reqs), 2)
         assert runs == []
+
+    # finite cell powers, or the descent's unit powers, summed past the
+    # double range, and math.fsum raised OverflowError in every scheme
+    # (power) or in proposed (unit)
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(area_size=1.0, reqs=Requirements(2.0, 1.4e302)),
+         "^rate_threshold .* over 4 cells puts the total transmit power"),
+        (dict(params=default_params(uav_height=1e77)),
+         "^uav_height 1e\\+77 m over 4 cells puts the total unit power")],
+        ids=["power", "unit"])
+    def test_rejects_a_total_beyond_floating_point_range(self, monkeypatch,
+                                                         kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**kwargs)
+        runs = []
+        monkeypatch.setattr(uavvlc.scenario, "_run_group", runs.append)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(replace(ScenarioConfig(), **kwargs), 2)
+        assert runs == []
+
+    # the grid's cell count times the largest cell power is finite, so no
+    # scheme's sum overflows; one cell takes the thresholds four reject
+    @pytest.mark.parametrize("kwargs", [
+        dict(area_size=1.0, reqs=Requirements(2.0, 1.4e302 / 4.3)),
+        dict(area_size=1.0, grid=(1, 1), reqs=Requirements(2.0, 1.4e302)),
+        dict(params=default_params(uav_height=8e76))],
+        ids=["power", "one-cell", "unit"])
+    def test_every_scheme_sums_an_accepted_total(self, kwargs):
+        config = ScenarioConfig(**kwargs)
+        for k in range(3):
+            scenario = config.scenario(k)
+            for scheme in SCHEMES:
+                sol = solve_scenario(scenario, scheme)
+                assert sol.feasible and math.isfinite(sol.total_power)
 
     # a positive need whose prefactor underflowed to 0 was "feasible" at
     # 0 W, and every user received light 0, below its 1e-300 floor
