@@ -68,8 +68,6 @@ class RunConfig:
     cth_sweep: tuple[float, float, float] = (1.0, 3.0, 0.5)
     schemes: list[str] = field(default_factory=lambda: list(SCHEMES))
     out: str = "results"
-    max_iters: int = 20
-    rel_tol: float = 1e-9
 
 
 def _parse_int(field_name: str, raw: str) -> int:
@@ -181,8 +179,7 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
             families += [ScenarioConfig(
                 area_size=cfg.area_size, grid=cfg.grid, num_users=cfg.users,
                 base_seed=cfg.seed, params=params,
-                reqs=Requirements(rate, cfg.illum_threshold),
-                max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+                reqs=Requirements(rate, cfg.illum_threshold))
                 for rate in rates]
     except ValueError as err:
         name, _, rest = str(err).partition(" ")
@@ -229,7 +226,8 @@ def _solution_record(solution: DeploymentSolution) -> dict:
 
 
 def _config_record(cfg: RunConfig) -> dict:
-    record = asdict(cfg)
+    record = dict(asdict(cfg), max_iters=ScenarioConfig.max_iters,
+                  rel_tol=ScenarioConfig.rel_tol)
     record["grid"] = f"{cfg.grid[0]}x{cfg.grid[1]}"
     record["cth_sweep"] = ":".join(repr(v) for v in cfg.cth_sweep)
     return record
@@ -265,8 +263,7 @@ def run_single(cfg: RunConfig, families: list[ScenarioConfig],
     record = {"config": _config_record(cfg), "seed": cfg.seed, "schemes": {}}
     status = EXIT_OK
     for scheme in cfg.schemes:
-        solution = solve_scenario(scenario, scheme,
-                                  max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+        solution = solve_scenario(scenario, scheme)
         record["schemes"][scheme] = _solution_record(solution)
         if not solution.feasible:
             status = EXIT_INFEASIBLE
@@ -348,9 +345,7 @@ def run_fig4(cfg: RunConfig, families: list[ScenarioConfig],
     status = EXIT_OK
     for label, family in zip(("case1", "case2"), families):
         scenario = family.scenario()
-        solution = solve_scenario(scenario, "proposed",
-                                  max_iters=family.max_iters,
-                                  rel_tol=family.rel_tol)
+        solution = solve_scenario(scenario, "proposed")
         if not solution.feasible:
             print(f"{label}: infeasible")
             status = EXIT_INFEASIBLE

@@ -39,6 +39,11 @@ from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, _unit_power, constraint_coefficients)
 from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
 
+# The descent's round cap and relative-improvement floor, which the paper
+# leaves open; optimize and solve_scenario take others per call.
+MAX_ITERS = 20
+REL_TOL = 1e-9
+
 
 class IterationEntry(NamedTuple):
     total_power: float
@@ -187,6 +192,7 @@ def evaluate_power(positions: Sequence[Sequence[float]],
     """Per-UAV and total transmit power for a fixed deployment.
 
     Each non-empty cell pays for its farthest user; empty cells draw zero.
+    The total is inf when the cells' powers sum past the double range.
     Raises ValueError when the association and the positions disagree on
     the UAV count, or when the association does not partition the users,
     and InfeasibleError naming the UAV and user when someone sits outside
@@ -204,12 +210,16 @@ def evaluate_power(positions: Sequence[Sequence[float]],
             f"user {j} is outside the field of view of UAV {i}",
             uav_index=i, user_index=j)
     per = [coeffs.prefactor * unit for unit in units]
-    return per, math.fsum(per)
+    return per, _total(per)
 
 
-def _total(prefactor: float, units: Sequence[float]) -> float:
-    # total power at one prefactor; an inf unit (past the FOV) sums to inf
-    return math.fsum([prefactor * unit for unit in units])
+def _total(powers: Sequence[float]) -> float:
+    # the sum of cell (or unit) powers; an inf power (past the FOV) or a sum
+    # past the double range is inf, and so infeasible
+    try:
+        return math.fsum(powers)
+    except OverflowError:
+        return math.inf
 
 
 def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
@@ -217,12 +227,13 @@ def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
     # The layout and its (step, units) trace at one prefactor, sharing no
     # list with either; the only place a DeploymentSolution is built.
     per = [prefactor * unit for unit in layout.units]
-    total = math.fsum(per)
+    total = _total(per)
     return DeploymentSolution(
         list(layout.positions),
         CellAssociation([list(c) for c in layout.association.clusters]),
         per, total,
-        [IterationEntry(_total(prefactor, units), step) for step, units in trace],
+        [IterationEntry(_total([prefactor * unit for unit in units]), step)
+         for step, units in trace],
         total < math.inf)
 
 
@@ -241,14 +252,6 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
                          _units(located, association, users, params))
 
 
-def _check_descent(max_iters: int, rel_tol: float) -> None:
-    # the descent settings' rule; each comparison is written so NaN fails it
-    if not max_iters >= 1:
-        raise ValueError("max_iters must be >= 1")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError("rel_tol must be finite and >= 0")
-
-
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
              params: VlcParams, max_iters: int, rel_tol: float,
              centers: Optional[dict[tuple[int, ...], Point2]]
@@ -258,14 +261,17 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
     # powers, so the result is the same at every positive prefactor.
     if not users:
         raise ValueError("at least one user is required")
-    _check_descent(max_iters, rel_tol)
+    if not max_iters >= 1:    # NaN fails this comparison and the next
+        raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and >= 0")
     fixed, best = start
     trace = [("locate", best.units)]
     if math.inf in best.units:
         return best, trace
     if math.inf not in fixed.units:    # fixed initial placement may violate the FOV
         trace.insert(0, ("init", fixed.units))
-    best_total = math.fsum(best.units)
+    best_total = _total(best.units)
     positions, assoc = best.positions, best.association
     seen = set()
     for _ in range(max_iters):
@@ -282,7 +288,7 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
         units = _units(positions, assoc, users, params)
         if math.inf in units:
             break    # relocation put a user past the FOV; keep the best so far
-        total = math.fsum(units)
+        total = _total(units)
         if total < best_total:
             best = _Layout(positions, assoc, units)
             trace.append(("round", units))
@@ -296,8 +302,8 @@ def optimize(users: Sequence[Sequence[float]],
              uav_initial_positions: Sequence[Sequence[float]],
              params: VlcParams,
              reqs: Requirements,
-             max_iters: int = 20,
-             rel_tol: float = 1e-9) -> DeploymentSolution:
+             max_iters: int = MAX_ITERS,
+             rel_tol: float = REL_TOL) -> DeploymentSolution:
     """Alternate greedy re-association and SED relocation, keep the best state.
 
     Starts from the given positions with each user at its nearest one,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -85,21 +86,55 @@ class TestConfigFile:
         assert record["config"]["users"] == 6
 
 
+class TestConfigKeys:
+    def test_readme_key_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \|", readme.read_text(), re.MULTILINE)
+        assert rows == list(vars(RunConfig()))
+
+    # The descent's round cap and improvement floor are the library's: no
+    # config sets them, and the outputs still record the values they run
+    @pytest.mark.parametrize("key,value", [("max_iters", "1"),
+                                           ("rel_tol", "0.5")])
+    @pytest.mark.parametrize("mode,flag", [("single", "--config"),
+                                           ("fig4", "--case1")])
+    def test_descent_settings_are_unknown_keys(self, tmp_path, capsys, key,
+                                               value, mode, flag):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, "--users", 4, flag, path,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {path}:1: unknown key {key!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,name", [("single", "single_result.json"),
+                                           ("montecarlo", "montecarlo.json")])
+    def test_outputs_record_the_descent_settings(self, tmp_path, mode, name):
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 6,
+                       "--out", out) == 0
+        text = (out / name).read_text()
+        assert '\n    "max_iters": 20,\n' in text
+        assert '\n    "rel_tol": 1e-09,\n' in text
+
+
 class TestValidateConfig:
     @pytest.mark.parametrize("field,value,needle", [
         ("mode", "sa3", "mode"),
         ("runs", 0, "runs"),
         ("users", -1, "users"),
+        ("users", 0, "^users: "),     # the library's num_users
         ("tx_semi_angle_deg", 90.0, "tx_semi_angle_deg"),
         ("fov_semi_angle_deg", 90.5, "fov_semi_angle_deg"),
         ("rate_threshold_bits", -0.5, "thresholds"),
-        ("rel_tol", -1e-9, "rel_tol"),
         ("heights", [8.0, 0.0], "heights"),
         ("area_size", math.nan, "area_size"),
         ("illum_factor", math.inf, "illum_factor"),
         ("rate_threshold_bits", math.nan, "thresholds"),
         ("illum_threshold", math.inf, "thresholds"),
-        ("rel_tol", math.nan, "rel_tol"),
+        ("seed", -1, "^seed: "),      # the library's base_seed
         ("heights", [math.nan], "heights"),
         ("cth_sweep", (1.0, math.nan, 0.5), "cth_sweep"),
         ("cth_sweep", (1.0, 3.0, 0.0), "cth_sweep"),
@@ -111,12 +146,10 @@ class TestValidateConfig:
         ("heights", [8.0, 1e100], "thresholds"),
         # the gain overflows a float, and a served user's rate was NaN
         ("detector_area_m2", 1.7e308, "^detector_area_m2: .* channel gain"),
-        # library fields the config spells differently, and ScenarioConfig's
+        # library fields the config spells differently (users and seed
+        # above: a non-scalar value's id is its position in this list)
         ("detector_area_m2", 0.0, "^detector_area_m2: "),
         ("noise_std_a", -1.0, "^noise_std_a: "),
-        ("users", 0, "^users: "),
-        ("max_iters", 0, "^max_iters: "),
-        ("seed", -1, "^seed: "),
     ])
     def test_rejects_and_names_field(self, field, value, needle):
         cfg = RunConfig()
@@ -170,7 +203,7 @@ NUMERIC_KEYS = {
     "refractive_index": "{}", "tx_semi_angle_deg": "{}",
     "fov_semi_angle_deg": "{}", "noise_std_a": "{}", "illum_factor": "{}",
     "rate_threshold_bits": "{}", "illum_threshold": "{}",
-    "cth_sweep": "1.0:{}:0.5", "max_iters": "{}", "rel_tol": "{}",
+    "cth_sweep": "1.0:{}:0.5",
 }
 # Flags that set a numeric key, and the key they set.
 NUMERIC_FLAGS = {"--seed": "seed", "--runs": "runs", "--users": "users",
@@ -334,7 +367,7 @@ class TestNegativeSeed:
 # cth_sweep is read in sweep mode only.
 PROPERTY_KEYS = sorted(set(NUMERIC_KEYS)
                        - {"seed", "users", "grid", "cth_sweep"})
-INTEGER_KEYS = {"runs", "max_iters"}
+INTEGER_KEYS = {"runs"}
 # at and past the edges of the double range and of the angle ranges
 EXTREMES = [5e-324, 1e-320, 1e-300, 1e-30, 89.99999999999999, 90.0, 1e200,
             1.7e308, 0.0, -1.0]
@@ -346,7 +379,7 @@ ENDLESS_SWEEPS = ["1e200:1e200:2", "0:1:1e-300", "9.5e-153:1.8e134:12"]
 
 
 # Batch runs take runs from the property itself, so that no example asks
-# for millions of runs; a huge max_iters ends where the rounds repeat.
+# for millions of runs.
 BATCH_KEYS = sorted(set(PROPERTY_KEYS) - {"runs"})
 # FROM:TO:STEP with 1 to 10 points
 SMALL_SWEEPS = st.builds(
@@ -438,8 +471,6 @@ CASE_VALUES = {
     "schemes": {"ok": [",".join(SCHEMES)], "main": ["sa2", "sa2,sa2"],
                 "bad": ["bogus", ""]},
     "out": {"ok": ["{out}"], "main": ["{out}/case"]},
-    "max_iters": {"ok": ["1", "20", "0"], "bad": ["1.5"]},
-    "rel_tol": {"ok": ["1e-9", "0", "1", "-1"], "bad": ["inf"]},
 }
 CASE_ENTRIES = st.lists(st.sampled_from(sorted(CASE_VALUES)), min_size=1,
                         max_size=4, unique=True).flatmap(
@@ -615,6 +646,22 @@ class TestMonteCarloMode:
         code = run_cli("--mode", "montecarlo", "--runs", 2, "--users", 4,
                        "--height", 2, "--schemes", "sa2", "--out", out)
         assert code == 2
+
+    def test_totals_near_the_double_range_give_finite_stats(self, tmp_path):
+        # every run total is finite, but their float64 sums overflowed, and
+        # the CSV read inf for three means and every std
+        path = tmp_path / "run.cfg"
+        path.write_text("area_size = 1\nillum_threshold = 3.5e301\n")
+        out = tmp_path / "out"
+        assert run_cli("--mode", "montecarlo", "--config", path, "--runs", 2,
+                       "--out", out) == 0
+        _, rows = read_csv(out / "montecarlo.csv")
+        assert len(rows) == 4
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row[2:4]), row
+        payload = json.loads((out / "montecarlo.json").read_text())
+        assert set(payload["heights"]["8.0"]["reductions_percent"]) == {
+            "uavoo", "sa1", "sa2"}
 
 
 class TestSweepMode:

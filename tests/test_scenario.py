@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -17,7 +19,8 @@ from oracles import baseline_sa2
 from uavvlc.channel import (ConstraintCoefficients, Requirements, VlcParams,
                             channel_gain, constraint_coefficients)
 from uavvlc.geometry import Point2, Rect
-from uavvlc.optimizer import IterationEntry, _priced, optimize
+from uavvlc.optimizer import (IterationEntry, _priced, evaluate_power,
+                              optimize)
 from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, _mean_std,
                              _scheme_layout, default_params,
                              default_requirements, generate_scenario,
@@ -28,9 +31,8 @@ RATE_REQ = 2.0
 ILLUM_REQ = 0.1
 
 # One bad value per ScenarioConfig field that construction checks.
-BAD_CONFIG_FIELDS = [("max_iters", 0), ("rel_tol", -1e-9),
-                     ("rel_tol", math.nan), ("num_users", 0),
-                     ("area_size", math.nan), ("base_seed", -1)]
+BAD_CONFIG_FIELDS = [("num_users", 0), ("area_size", math.nan),
+                     ("base_seed", -1)]
 
 
 class TestMakeGrid:
@@ -444,6 +446,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="^base_seed "):
             config.scenario(-4)
 
+    def test_descent_settings_are_the_librarys(self):
+        # a config's max_iters reached run_monte_carlo but not solve_scenario,
+        # so one config gave two answers; now no config sets them
+        assert {f.name for f in dataclasses.fields(ScenarioConfig)} == {
+            "area_size", "grid", "num_users", "base_seed", "params", "reqs"}
+        with pytest.raises(TypeError):
+            ScenarioConfig(max_iters=1)
+        config = ScenarioConfig(base_seed=1)
+        assert (config.max_iters, config.rel_tol) == (20, 1e-9)
+        for function in (solve_scenario, optimize):
+            parameters = inspect.signature(function).parameters
+            assert parameters["max_iters"].default == 20
+            assert parameters["rel_tol"].default == 1e-9
+        assert run_monte_carlo(config, 1).stats["proposed"].totals == [
+            solve_scenario(config.scenario(0), "proposed").total_power]
+
     @pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
     def test_rejects_bad_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -522,6 +540,25 @@ class TestScenarioConfig:
             for scheme in SCHEMES:
                 sol = solve_scenario(scenario, scheme)
                 assert sol.feasible and math.isfinite(sol.total_power)
+
+    def test_a_sum_past_the_double_range_prices_infeasible(self):
+        # replace() skips ScenarioConfig's cells x power rule, and math.fsum
+        # raised OverflowError in every scheme; each cell still fits
+        scenario = replace(ScenarioConfig(area_size=1.0).scenario(0),
+                           reqs=Requirements(2.0, 1.4e302))
+        coeffs = constraint_coefficients(scenario.params, scenario.reqs)
+        sols = {scheme: solve_scenario(scenario, scheme) for scheme in SCHEMES}
+        for scheme in ("uavoo", "sa1", "sa2"):
+            sol = sols[scheme]
+            assert not sol.feasible and sol.total_power == math.inf
+            assert all(p < math.inf for p in sol.per_uav_power)
+        assert evaluate_power(sols["uavoo"].uav_positions,
+                              sols["uavoo"].association, scenario.users,
+                              coeffs, scenario.params)[1] == math.inf
+        # proposed's best layout has a lower unit power, and its sum fits
+        proposed = sols["proposed"]
+        assert proposed.feasible and proposed.total_power < math.inf
+        assert proposed.total_power == math.fsum(proposed.per_uav_power)
 
     # a positive need whose prefactor underflowed to 0 was "feasible" at
     # 0 W, and every user received light 0, below its 1e-300 floor
@@ -692,14 +729,14 @@ class TestMonteCarloBatches:
     association and disks; every summary still equals its own
     run_monte_carlo."""
 
-    # heights 2 and 8, a rate repeated, one config whose max_iters keeps it
+    # heights 2 and 8, a rate repeated, one config whose num_users keeps it
     # out of the group, and one at 8 m whose 45 degree FOV prunes other
     # greedy candidates than the 60 degree configs do
     CONFIGS = ([ScenarioConfig(base_seed=4, params=default_params(uav_height=h),
                                reqs=Requirements(rate, 0.1))
                 for h in (2.0, 8.0) for rate in (2.5, 1.0, 2.5)]
                + [ScenarioConfig(base_seed=4, reqs=Requirements(1.0, 0.1),
-                                 max_iters=1),
+                                 num_users=12),
                   ScenarioConfig(base_seed=4, reqs=Requirements(1.0, 0.1),
                                  params=replace(default_params(8.0),
                                                 fov_semi_angle_deg=45.0))])
@@ -753,6 +790,21 @@ class TestMeanStd:
         self.assert_matches_numpy(
             [min(1e12, rnd.random() * 10.0 ** rnd.uniform(-3.0, 12.0))
              for _ in range(n)])
+
+    def test_totals_near_the_double_range_stay_finite(self):
+        # each total is finite, but the float64 sums overflowed: three means
+        # and every std read inf, even sa2's over two equal totals
+        mean, std = _mean_std([9.39e307, 9.40e307])
+        assert mean == pytest.approx(9.395e307, rel=1e-15)
+        assert std == pytest.approx(math.sqrt(0.5) * 1e305, rel=1e-12)
+        summary = run_monte_carlo(
+            ScenarioConfig(area_size=1.0, reqs=Requirements(2.0, 3.5e301)), 2)
+        for scheme, stats in summary.stats.items():
+            assert stats.infeasible_runs == 0
+            assert math.isfinite(stats.mean) and math.isfinite(stats.std), scheme
+            assert min(stats.totals) <= stats.mean <= max(stats.totals)
+        assert summary.stats["sa2"].std == 0.0
+        assert set(summary.reductions) == {"uavoo", "sa1", "sa2"}
 
     def test_package_imports_without_numpy(self):
         code = ("import sys; sys.modules['numpy'] = None; "
