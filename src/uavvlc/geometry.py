@@ -206,13 +206,18 @@ def _sed_two_boundary(
         ax, ay = px - ox, py - oy
         bx, by = qx - ox, qy - oy
         tx, ty = sx - ox, sy - oy
-        d = 2.0 * (ax * (by - ty) + bx * (ty - ay) + tx * (ay - by))
         scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(tx), abs(ty))
+        # past 1e100 cubes overflow: solve over a power of two, which rounds alike
+        f = 1.0 if scale <= 1e100 else math.ldexp(1.0, math.frexp(scale)[1])
+        if f > 1.0:
+            ax, ay, bx, by, tx, ty, scale = (
+                v / f for v in (ax, ay, bx, by, tx, ty, scale))
+        d = 2.0 * (ax * (by - ty) + bx * (ty - ay) + tx * (ay - by))
         if abs(d) <= _DET_GUARD * max(1.0, scale * scale):
             continue    # (near) collinear: no circle through the three
         a2, b2, t2 = ax * ax + ay * ay, bx * bx + by * by, tx * tx + ty * ty
-        cx = (a2 * (by - ty) + b2 * (ty - ay) + t2 * (ay - by)) / d + ox
-        cy = (a2 * (tx - bx) + b2 * (ax - tx) + t2 * (bx - ax)) / d + oy
+        cx = (a2 * (by - ty) + b2 * (ty - ay) + t2 * (ay - by)) / d * f + ox
+        cy = (a2 * (tx - bx) + b2 * (ax - tx) + t2 * (bx - ax)) / d * f + oy
         # Radius from the rounded center, so that the disk covers its own
         # points where rounding the center exceeds the slack (coordinates ~1e8).
         r = max(hypot(cx - px, cy - py), hypot(cx - qx, cy - qy),

@@ -20,18 +20,19 @@ geographic association but moves UAVs to SED centers.  Each is a
 threshold-free _Layout that a Scenario computes once and _priced prices,
 and solve_scenario is their only route.  sa1 and uavoo are the proposed
 scheme's first two states ("init" and "locate"), built by _start, the one
-start builder that optimize and the scenario layouts both call.  A Monte
-Carlo run shares its SED centers between heights through _locate's
-centers map; a single solve passes none.  A solution is feasible when
-its priced total is finite: no user past the FOV, no power overflowing.
+start builder that optimize and the scenario layouts both call.  A locate
+step solves an SED only for a cluster missing from its table of those last
+located over the same users, a Scenario's or a fresh one.  Feasible means
+a finite priced total: no user past the FOV, no power overflowing.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
@@ -137,27 +138,28 @@ def locate_uavs(association: CellAssociation,
     association.labels(len(users))
     return _locate(association, users,
                    [Point2(x, y) for x, y in
-                    _finite_points(previous_positions, "UAV position")], None)
+                    _finite_points(previous_positions, "UAV position")], {})
 
 
 def _locate(association: CellAssociation, users: Sequence[Sequence[float]],
             positions: Sequence[Point2],
-            centers: Optional[dict[tuple[int, ...], Point2]]) -> list[Point2]:
-    # locate_uavs on checked positions.  centers, when given, maps a cluster's
-    # user indices to its SED center and is filled on a miss: the same points
-    # in the same order give the same disk, so every link priced over one
-    # user draw can share it.
+            centers: dict[bytes, Point2]) -> list[Point2]:
+    # locate_uavs on checked positions.  centers maps the clusters last
+    # located over these users to their SED centers: the same points in the
+    # same order give the same disk, so only a new cluster solves one.  It is
+    # left holding this association's clusters, keyed by packed indices: a
+    # tuple would keep the index ints of a dropped association alive.
     positions = list(positions)
+    located = {}
     for i, cluster in enumerate(association.clusters):
-        if not cluster:
-            continue
-        key = None if centers is None else tuple(cluster)
-        center = None if key is None else centers.get(key)
-        if center is None:
-            center = smallest_enclosing_disk([users[j] for j in cluster]).center
-            if key is not None:
-                centers[key] = center
-        positions[i] = center
+        if cluster:
+            key = array("i", cluster).tobytes()
+            center = centers.get(key)
+            if center is None:
+                center = smallest_enclosing_disk([users[j] for j in cluster]).center
+            positions[i] = located[key] = center
+    centers.clear()
+    centers.update(located)
     return positions
 
 
@@ -174,14 +176,9 @@ def _units(positions: Sequence[Sequence[float]],
            users: Sequence[Sequence[float]], params: VlcParams) -> list[float]:
     # Per-UAV unit powers of a fixed deployment, each cell paying for its
     # farthest user; the association is not checked
-    units: list[float] = []
-    for center, cluster in zip(positions, association.clusters):
-        if cluster:
-            s_max = farthest_user(center, cluster, users)[0]
-            units.append(_unit_power(math.sqrt(s_max), params))
-        else:
-            units.append(0.0)
-    return units
+    return [_unit_power(math.sqrt(farthest_user(center, cluster, users)[0]),
+                        params) if cluster else 0.0
+            for center, cluster in zip(positions, association.clusters)]
 
 
 def evaluate_power(positions: Sequence[Sequence[float]],
@@ -239,8 +236,7 @@ def _priced(layout: _Layout, trace: Sequence[tuple[str, list[float]]],
 
 def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]],
            association: CellAssociation, params: VlcParams,
-           centers: Optional[dict[tuple[int, ...], Point2]]
-           ) -> tuple[_Layout, _Layout]:
+           centers: dict[bytes, Point2]) -> tuple[_Layout, _Layout]:
     # The "init" layout and the "locate" one, with every UAV at its cluster's
     # SED center (from centers, as _locate reads it): from sub-area centers,
     # sa1's and uavoo's at any thresholds.
@@ -254,17 +250,13 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
 
 def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
              params: VlcParams, max_iters: int, rel_tol: float,
-             centers: Optional[dict[tuple[int, ...], Point2]]
+             centers: dict[bytes, Point2]
              ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
     # Greedy rounds from start's "locate" layout: the best layout and its
     # (step, units) trace, "init" first when feasible.  Rounds compare unit
     # powers, so the result is the same at every positive prefactor.
     if not users:
         raise ValueError("at least one user is required")
-    if not max_iters >= 1:    # NaN fails this comparison and the next
-        raise ValueError("max_iters must be >= 1")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError("rel_tol must be finite and >= 0")
     fixed, best = start
     trace = [("locate", best.units)]
     if math.inf in best.units:
@@ -298,6 +290,13 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
     return best, trace
 
 
+def _check_descent(max_iters: int, rel_tol: float) -> None:
+    if not max_iters >= 1:    # NaN fails this comparison and the next
+        raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and >= 0")
+
+
 def optimize(users: Sequence[Sequence[float]],
              uav_initial_positions: Sequence[Sequence[float]],
              params: VlcParams,
@@ -324,8 +323,10 @@ def optimize(users: Sequence[Sequence[float]],
     "proposed", bit for bit.  A max_iters below 1, or a rel_tol that is
     not finite and >= 0, raises ValueError.
     """
+    _check_descent(max_iters, rel_tol)
     assoc = nearest_position_association(users, uav_initial_positions)
-    start = _start(users, uav_initial_positions, assoc, params, None)
+    centers: dict[bytes, Point2] = {}
+    start = _start(users, uav_initial_positions, assoc, params, centers)
     prefactor = constraint_coefficients(params, reqs).prefactor
-    return _priced(*_descend(users, start, params, max_iters, rel_tol, None),
+    return _priced(*_descend(users, start, params, max_iters, rel_tol, centers),
                    prefactor)

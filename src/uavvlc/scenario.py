@@ -22,9 +22,9 @@ from .channel import (Requirements, VlcParams, _unit_power,
                       capacity_lower_bound, channel_gain,
                       constraint_coefficients, min_power_for_radius)
 from .geometry import Point2, Rect
-from .optimizer import (MAX_ITERS, REL_TOL, DeploymentSolution, _descend,
-                        _Layout, _priced, _start, _total,
-                        geographic_association)
+from .optimizer import (MAX_ITERS, REL_TOL, DeploymentSolution,
+                        _check_descent, _descend, _Layout, _priced, _start,
+                        _total, geographic_association)
 
 SCHEMES = ("proposed", "uavoo", "sa1", "sa2")
 
@@ -60,26 +60,32 @@ class Scenario:
     params: VlcParams
     reqs: Requirements
 
+    # per instance, as equal scenarios may differ in sign bits (0.0 == -0.0);
+    # _centers is the SED-center table of optimizer._locate, at any params
+    @functools.cached_property
+    def _association(self) -> CellAssociation:
+        return geographic_association(self.users, self.sub_areas)
+
+    @functools.cached_property
+    def _centers(self) -> dict[bytes, Point2]:
+        return {}
+
     @functools.cached_property
     def _layouts(self) -> dict[str, _Layout]:
-        # per instance, as equal scenarios may differ in sign bits (0.0 == -0.0)
-        return _fixed_layouts(
-            self.users, self.sub_areas, self.params,
-            geographic_association(self.users, self.sub_areas), None)
+        return _fixed_layouts(self, self.params)
 
 
-def _fixed_layouts(users: Sequence[Point2], sub_areas: Sequence[Rect],
-                   params: VlcParams, association: CellAssociation,
-                   centers: Optional[dict[tuple[int, ...], Point2]]
-                   ) -> dict[str, _Layout]:
+def _fixed_layouts(scenario: Scenario, params: VlcParams) -> dict[str, _Layout]:
     # Each fixed scheme's layout at any thresholds, sa1 and uavoo where
-    # proposed starts; centers as _start reads it.  Under sa2 each UAV at its
-    # sub-area center pays for the corner, users or not, so every cluster
-    # stays empty
-    positions = [r.center() for r in sub_areas]
-    sa1, uavoo = _start(users, positions, association, params, centers)
+    # proposed starts, over the scenario's users, association and SED
+    # centers.  Under sa2 each UAV at its sub-area center pays for the
+    # corner, users or not, so every cluster stays empty
+    positions = [r.center() for r in scenario.sub_areas]
+    sa1, uavoo = _start(scenario.users, positions, scenario._association,
+                        params, scenario._centers)
     sa2 = _Layout(positions, CellAssociation([[] for _ in positions]),
-                  [_unit_power(r.half_diagonal(), params) for r in sub_areas])
+                  [_unit_power(r.half_diagonal(), params)
+                   for r in scenario.sub_areas])
     return {"sa1": sa1, "uavoo": uavoo, "sa2": sa2}
 
 
@@ -153,26 +159,26 @@ def solve_scenario(scenario: Scenario, scheme: str, max_iters: int = MAX_ITERS,
     the bit whatever the order of the calls.
 
     max_iters and rel_tol, the descent's round cap and relative-improvement
-    floor, default to the ones every Monte Carlo run uses; a max_iters
-    below 1 or a rel_tol not finite and >= 0 raises ValueError."""
+    floor, default to the ones every Monte Carlo run uses; for any scheme a
+    max_iters below 1 or a rel_tol not finite and >= 0 raises ValueError."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _check_descent(max_iters, rel_tol)
     prefactor = constraint_coefficients(scenario.params, scenario.reqs).prefactor
-    return _priced(*_scheme_layout(scenario.users, scenario._layouts, scheme,
-                                   scenario.params, max_iters, rel_tol, None),
+    return _priced(*_scheme_layout(scenario, scenario._layouts, scheme,
+                                   scenario.params, max_iters, rel_tol),
                    prefactor)
 
 
-def _scheme_layout(users: Sequence[Point2], layouts: dict[str, _Layout],
-                   scheme: str, params: VlcParams, max_iters: int,
-                   rel_tol: float,
-                   centers: Optional[dict[tuple[int, ...], Point2]]
+def _scheme_layout(scenario: Scenario, layouts: dict[str, _Layout], scheme: str,
+                   params: VlcParams, max_iters: int, rel_tol: float
                    ) -> tuple[_Layout, list[tuple[str, list[float]]]]:
     # proposed descends from sa1's and uavoo's layouts, relocating through
-    # centers, and every other scheme is one of the fixed layouts.
+    # the scenario's SED centers, and every other scheme is one of the
+    # fixed layouts.
     if scheme == "proposed":
-        return _descend(users, (layouts["sa1"], layouts["uavoo"]), params,
-                        max_iters, rel_tol, centers)
+        return _descend(scenario.users, (layouts["sa1"], layouts["uavoo"]),
+                        params, max_iters, rel_tol, scenario._centers)
     return layouts[scheme], [(scheme, layouts[scheme].units)]
 
 
@@ -272,32 +278,22 @@ class MonteCarloSummary:
 def _run_group(args) -> list[tuple[Optional[float], ...]]:
     # One seeded run of configs equal but for params and reqs: per config,
     # each scheme's total power, or None where infeasible.  They share the
-    # run's users, its geographic association and the SED center of every
-    # cluster, which read no link parameter; each distinct params solves its
-    # layouts once, and each reqs prices them.  Tuples keep the per-run
-    # results small.
+    # run's scenario: its users, geographic association and SED centers read
+    # no link parameter.  Each distinct params lays out its start, all before
+    # any descent moves the centers off the geographic clusters, then solves
+    # once, and each reqs prices the layouts.  Tuples keep results small.
     configs, run_index, schemes = args
     scenario = configs[0].scenario(run_index)
-    users, sub_areas = scenario.users, scenario.sub_areas
-    association = geographic_association(users, sub_areas)
-    # The SED-center table lives for one run, whose links all cluster the
-    # same users.  A single solve keeps none: there the table would keep the
-    # key of every round's clusters, which raised the peak memory of a
-    # 10 000-user solve by about 18 %.
-    centers: dict[tuple[int, ...], Point2] = {}
-    units: dict[VlcParams, list[list[float]]] = {}
+    layouts = {params: _fixed_layouts(scenario, params)
+               for params in dict.fromkeys(c.params for c in configs)}
+    units = {params: [_scheme_layout(scenario, fixed, scheme, params,
+                                     MAX_ITERS, REL_TOL)[0].units
+                      for scheme in schemes]
+             for params, fixed in layouts.items()}
     results = []
     for config in configs:
-        params = config.params
-        if params not in units:
-            layouts = _fixed_layouts(users, sub_areas, params, association,
-                                     centers)
-            units[params] = [
-                _scheme_layout(users, layouts, scheme, params, MAX_ITERS,
-                               REL_TOL, centers)[0].units
-                for scheme in schemes]
-        prefactor = constraint_coefficients(params, config.reqs).prefactor
-        totals = [_total([prefactor * x for x in u]) for u in units[params]]
+        prefactor = constraint_coefficients(config.params, config.reqs).prefactor
+        totals = [_total([prefactor * x for x in u]) for u in units[config.params]]
         results.append(tuple(t if t < math.inf else None for t in totals))
     return results
 
@@ -414,10 +410,7 @@ def _summarize(config: ScenarioConfig, num_runs: int, schemes: tuple[str, ...],
     for column, scheme in enumerate(schemes):
         totals = [res[column] for res in results if res[column] is not None]
         infeasible = num_runs - len(totals)
-        if totals:
-            mean, std = _mean_std(totals)
-        else:
-            mean, std = math.inf, 0.0
+        mean, std = _mean_std(totals) if totals else (math.inf, 0.0)
         stats[scheme] = SchemeStats(scheme, totals, mean, std, infeasible)
 
     reductions: dict[str, float] = {}

@@ -267,6 +267,22 @@ class TestTwoBoundaryExits:
             assert abs(got[2] - ref.radius) <= 1e-9
             assert got[2] > 1.0
 
+
+class TestFarOffsets:
+    """Past offsets of about 1e102 the circumcircle's cubes overflowed: the
+    disk came back NaN, or as one of the points with radius 0."""
+
+    @pytest.mark.parametrize("k", [330, 345, 512, 1000, 1020])
+    def test_a_scaled_triangle_scales_its_disk(self, k):
+        s = 2.0 ** k
+        unit = smallest_enclosing_disk([(0.0, 0.0), (3.0, 0.0), (1.0, 2.0)])
+        pts = [(0.0, 0.0), (3.0 * s, 0.0), (s, 2.0 * s)]
+        disk = smallest_enclosing_disk(pts)
+        assert disk == Disk(Point2(unit.center.x * s, unit.center.y * s),
+                            unit.radius * s)
+        assert all(disk.contains(p) for p in pts)
+
+
 class TestNonFinite:
     # a NaN at index 0, axis 0 used to be left out of the disk silently
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

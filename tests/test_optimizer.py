@@ -19,7 +19,7 @@ from uavvlc.geometry import Point2, Rect
 from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
-from uavvlc.scenario import (Scenario, ScenarioConfig, default_params,
+from uavvlc.scenario import (SCHEMES, Scenario, ScenarioConfig, default_params,
                              default_requirements, generate_scenario, make_grid,
                              solve_scenario)
 
@@ -595,7 +595,7 @@ class TestRelocationPastTheFov:
     def test_keeps_the_best_state_so_far(self):
         # the first round relocates users 3 and 4 about 1e-14 m past the FOV
         start = _start(self.USERS, self.CENTERS, nearest_position_association(
-            self.USERS, self.CENTERS), PARAMS, None)[1]
+            self.USERS, self.CENTERS), PARAMS, {})[1]
         assoc = greedy_min_size_clustering(start.positions, self.USERS, PARAMS)
         assert assoc.clusters == [[0, 1, 2, 3, 4], []]
         moved = locate_uavs(assoc, self.USERS, start.positions)
@@ -634,8 +634,8 @@ class TestSharedDescent:
         params = replace(default_params(uav_height=height), noise_std=noise)
         start = _start(users, centers,
                        nearest_position_association(users, centers), params,
-                       None)
-        layout, trace = _descend(users, start, params, max_iters, rel_tol, None)
+                       {})
+        layout, trace = _descend(users, start, params, max_iters, rel_tol, {})
         for rate in rates:
             r = Requirements(rate, illum)
             sol = _priced(layout, trace, constraint_coefficients(params, r).prefactor)
@@ -647,8 +647,8 @@ class TestSharedDescent:
         prefactor = constraint_coefficients(PARAMS, Requirements(1.0, 0.1)).prefactor
         start = _start(users, CENTERS,
                        nearest_position_association(users, CENTERS), PARAMS,
-                       None)
-        layout, trace = _descend(users, start, PARAMS, 20, 1e-9, None)
+                       {})
+        layout, trace = _descend(users, start, PARAMS, 20, 1e-9, {})
         a, b = (_priced(layout, trace, prefactor) for _ in range(2))
         assert bits(a) == bits(b)
         a.uav_positions.append(Point2(-1.0, -1.0))
@@ -656,7 +656,7 @@ class TestSharedDescent:
         a.per_uav_power.append(-1.0)
         a.iterations.append(uavvlc.optimizer.IterationEntry(-1.0, "vandal"))
         assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9,
-                                                 None), prefactor))
+                                                 {}), prefactor))
 
 
 
@@ -670,6 +670,18 @@ class TestDescentSettings:
             solve_scenario(scenario, "proposed", rel_tol=rel_tol)
         with pytest.raises(ValueError, match="^rel_tol must be finite and >= 0$"):
             optimize(scenario.users, CENTERS, PARAMS, REQS, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name,value,message", [
+        ("max_iters", 0, "max_iters must be >= 1"),
+        ("rel_tol", math.nan, "rel_tol must be finite and >= 0")],
+        ids=["max_iters", "rel_tol"])
+    def test_every_scheme_checks_the_settings(self, scheme, name, value,
+                                              message):
+        # the fixed schemes run no descent, but took a bad value silently
+        scenario = generate_scenario(0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_scenario(scenario, scheme, **{name: value})
 
     def test_rel_tol_stops_after_a_small_enough_gain(self):
         # at the defaults proposed records two improving rounds on run 1;

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uavvlc
+import uavvlc.optimizer
 import uavvlc.scenario
 from oracles import baseline_sa2
 from uavvlc.channel import (ConstraintCoefficients, Requirements, VlcParams,
@@ -118,6 +119,15 @@ class TestSolveScenario:
             assert sol.feasible == math.isfinite(sol.total_power)
         totals = [sol.total_power for sol in sols]
         assert totals == sorted(totals)
+
+    def test_users_far_apart_are_infeasible(self):
+        # 7 users over a 4e154 m square: their disk was NaN, and every
+        # scheme raised "math domain error" where it should price inf
+        scenario = generate_scenario(0, area_size=3.9786221684592404e154,
+                                     grid=(1, 1), num_users=7)
+        for scheme in SCHEMES:
+            sol = solve_scenario(scenario, scheme)
+            assert not sol.feasible and sol.total_power == math.inf
 
     def test_all_schemes_feasible_at_default_height(self):
         sc = generate_scenario(seed=1)
@@ -344,8 +354,8 @@ class TestPricedLast:
         prefactors = [constraint_coefficients(params, r).prefactor
                       for r in reqs]
         for scheme in SCHEMES:
-            layout, trace = _scheme_layout(shared.users, shared._layouts,
-                                           scheme, params, 20, 1e-9, None)
+            layout, trace = _scheme_layout(shared, shared._layouts,
+                                           scheme, params, 20, 1e-9)
             sols = [_priced(layout, trace, p) for p in prefactors]
             for r, sol in zip(reqs, sols):
                 fresh = generate_scenario(seed, params=params, reqs=r)
@@ -759,6 +769,47 @@ class TestMonteCarloBatches:
             assert summary.schemes == schemes
             assert repr(astuple(summary)) == repr(astuple(
                 run_monte_carlo(config, 4, schemes)))
+
+
+class TestSedTable:
+    """A Scenario keeps the SED centers of the clusters last located over
+    its users, so a solve redoes no disk that the association before it
+    held, and every solve over one user draw, single or batched, reuses
+    disks by that rule."""
+
+    @staticmethod
+    def count_seds(monkeypatch):
+        calls = [0]
+        sed = uavvlc.optimizer.smallest_enclosing_disk
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return sed(*args, **kwargs)
+        monkeypatch.setattr(uavvlc.optimizer, "smallest_enclosing_disk", counted)
+        return calls
+
+    @pytest.mark.parametrize("height", [8.0, 12.0])
+    def test_single_solves_make_the_batchs_calls(self, monkeypatch, height):
+        calls = self.count_seds(monkeypatch)
+        config = ScenarioConfig(base_seed=3, params=default_params(height))
+        for k in range(100):
+            scenario = config.scenario(k)
+            for scheme in SCHEMES:
+                solve_scenario(scenario, scheme)
+                assert len(scenario._centers) <= len(scenario.sub_areas)
+        singles, calls[0] = calls[0], 0
+        run_monte_carlo(config, 100)
+        assert singles == calls[0] > 0
+
+    def test_two_heights_share_their_starts(self, monkeypatch):
+        # both heights start from the geographic clusters, so the second
+        # start solves no disk: 7.82 calls per run, where laying out each
+        # height's start just before its descent made 11.7
+        calls = self.count_seds(monkeypatch)
+        run_monte_carlo_batches(
+            [ScenarioConfig(base_seed=3, params=default_params(h))
+             for h in (8.0, 12.0)], 200)
+        assert 0 < calls[0] <= 7.85 * 200
 
 
 class TestMeanStd:
