@@ -66,23 +66,57 @@ class DeploymentSolution:
 def nearest_position_association(users: Sequence[Sequence[float]],
                                  positions: Sequence[Sequence[float]]) -> CellAssociation:
     """Assign each user to the closest position; ties to the lowest index.
-    Raises ValueError with no positions or a NaN or infinite coordinate."""
+
+    On a row-major lattice of over 9 positions (columns and rows strictly
+    increasing) a user compares only the 2x2 that bracket it, with the same
+    answer, unless it is a million grid gaps off; squares past the double
+    range are compared on coordinates scaled by a power of two.  Raises
+    ValueError with no positions or a NaN or infinite coordinate.
+    """
     if not positions:
         raise ValueError("at least one UAV position is required")
     points = _finite_points(positions, "UAV position")
+    every = range(len(points))
+    far, cells = math.inf, None
+    if len(points) > 9:
+        cols = [p[1] for p in points].count(points[0][1])
+        xs = [p[0] for p in points[:cols]]
+        ys = [p[1] for p in points[::cols]]
+        # rows and columns must increase; past far, rounding may tie any position
+        gap = min(b - a for v in (xs, ys) for a, b in zip(v, v[1:]))
+        if gap > 0.0 and points == [(x, y) for y in ys for x in xs]:
+            far = 1e12 * gap * gap
+            cells = [[tuple(iy * cols + ix
+                            for iy in range(max(ky - 1, 0), min(ky + 1, len(ys)))
+                            for ix in range(max(kx - 1, 0), min(kx + 1, cols)))
+                      for kx in range(cols + 1)] for ky in range(len(ys) + 1)]
     clusters: list[list[int]] = [[] for _ in points]
     for j, (ux, uy) in enumerate(_finite_points(users, "user")):
-        best_i = 0
-        best_s = math.inf
-        for i, (px, py) in enumerate(points):
-            dx = px - ux
-            dy = py - uy
-            s = dx * dx + dy * dy
-            if s < best_s:
-                best_s = s
-                best_i = i
+        scan = every if cells is None else \
+            cells[bisect.bisect_left(ys, uy)][bisect.bisect_left(xs, ux)]
+        best_i, best_s = _nearest(points, scan, ux, uy)
+        if best_s > far:
+            best_i, best_s = _nearest(points, every, ux, uy)
+        if best_s == math.inf:    # every square overflowed
+            k = 500 - max(math.frexp(abs(c))[1] for p in (*points, (ux, uy)) for c in p)
+            best_i = _nearest([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points],
+                              every, math.ldexp(ux, k), math.ldexp(uy, k))[0]
         clusters[best_i].append(j)
     return CellAssociation(clusters)
+
+
+def _nearest(points: Sequence[tuple[float, float]], scan: Sequence[int],
+             ux: float, uy: float) -> tuple[int, float]:
+    # the first of scan's points nearest (ux, uy), and its squared distance
+    best_i, best_s = 0, math.inf
+    for i in scan:
+        px, py = points[i]
+        dx = px - ux
+        dy = py - uy
+        s = dx * dx + dy * dy
+        if s < best_s:
+            best_i, best_s = i, s
+    return best_i, best_s
 
 
 def geographic_association(users: Sequence[Sequence[float]],
@@ -92,39 +126,8 @@ def geographic_association(users: Sequence[Sequence[float]],
     Implemented as nearest sub-area center (lowest index on ties), which
     coincides with rectangle membership for uniform grid tilings (the
     Voronoi cells of a rectangular lattice are the rectangles themselves).
-    On a row-major grid of over 9 centers a user compares only the 2x2 that
-    bracket it, with the same answer, unless some user is a million grid
-    gaps off the grid.
     """
-    centers = [r.center() for r in sub_areas]
-    if len(centers) <= 9:
-        return nearest_position_association(users, centers)
-    points = _finite_points(centers, "UAV position")
-    cols = [c[1] for c in points].count(points[0][1])
-    xs = [c[0] for c in points[:cols]]
-    ys = [c[1] for c in points[::cols]]
-    # rows and columns must increase; past far, rounding may tie any center
-    gap = min(b - a for v in (xs, ys) for a, b in zip(v, v[1:]))
-    if gap <= 0.0 or points != [(x, y) for y in ys for x in xs]:
-        return nearest_position_association(users, centers)
-    far = 1e12 * gap * gap
-    clusters: list[list[int]] = [[] for _ in centers]
-    for j, (ux, uy) in enumerate(_finite_points(users, "user")):
-        kx = bisect.bisect_left(xs, ux)
-        ky = bisect.bisect_left(ys, uy)
-        best_i = 0
-        best_s = math.inf
-        for iy in range(max(ky - 1, 0), min(ky + 1, len(ys))):
-            for ix in range(max(kx - 1, 0), min(kx + 1, len(xs))):
-                dx = xs[ix] - ux
-                dy = ys[iy] - uy
-                s = dx * dx + dy * dy
-                if s < best_s:
-                    best_i, best_s = iy * len(xs) + ix, s
-        if best_s > far:
-            return nearest_position_association(users, centers)
-        clusters[best_i].append(j)
-    return CellAssociation(clusters)
+    return nearest_position_association(users, [r.center() for r in sub_areas])
 
 
 def locate_uavs(association: CellAssociation,

@@ -368,8 +368,8 @@ def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
     read no link parameter; each distinct params solves its layouts once,
     and since the thresholds enter a solve only through the power
     prefactor, every reqs is priced from them.  Each summary equals
-    run_monte_carlo(config, ...) bit for bit.  An unknown or repeated
-    scheme raises ValueError.
+    run_monte_carlo(config, ...) bit for bit.  The pool starts at most
+    num_runs workers.  An unknown or repeated scheme raises ValueError.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
@@ -387,6 +387,7 @@ def run_monte_carlo_batches(configs: Sequence[ScenarioConfig], num_runs: int,
     summaries: list[MonteCarloSummary] = [None] * len(configs)
     with contextlib.ExitStack() as stack:
         run_all = map
+        workers = min(workers, num_runs)    # a pool forks every worker at once
         if workers > 1:
             # imported here: it pulls in multiprocessing, which serial runs never use
             from concurrent.futures import ProcessPoolExecutor

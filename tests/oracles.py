@@ -2,7 +2,8 @@
 
 None of these runs in the package: each one restates a quantity the
 production code folds into a faster or closed form (the randomized
-smallest enclosing disk, the greedy association, the d^(m+3) power law,
+smallest enclosing disk, the greedy association, the lattice-bracketed
+nearest position, the d^(m+3) power law,
 the decimal series behind the link constants) or bounds what it can
 reach (the exact minimum-power layout), so agreement between the two is
 the check.
@@ -215,6 +216,30 @@ def sed_unfiltered(points: Iterable[Sequence[float]], rng_seed: int = 0,
             disk = _sed_one_boundary(pts[: i + 1], p, two_boundary)
     assert disk is not None
     return Disk(Point2(disk[0], disk[1]), disk[2])
+
+
+def nearest_scan(users: Sequence[Sequence[float]],
+                 positions: Sequence[Sequence[float]]) -> CellAssociation:
+    """Each user at its nearest position by a plain scan of every position.
+
+    No lattice bracket: ties go to the lowest index because only a strictly
+    smaller squared distance moves the best.  Those squares overflow past
+    about 1.34e154 m, so this is a reference for closer inputs only.
+    """
+    points = [(float(p[0]), float(p[1])) for p in positions]
+    clusters: list[list[int]] = [[] for _ in points]
+    for j, (ux, uy) in enumerate(users):
+        best_i = 0
+        best_s = math.inf
+        for i, (px, py) in enumerate(points):
+            dx = px - ux
+            dy = py - uy
+            s = dx * dx + dy * dy
+            if s < best_s:
+                best_s = s
+                best_i = i
+        clusters[best_i].append(j)
+    return CellAssociation(clusters)
 
 
 def greedy_reference(uav_centers: Sequence[Sequence[float]],

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import math
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (baseline_sa2, cluster_cost, exact_min_power_layout,
-                     min_power_illum, min_power_rate, sed_bruteforce)
+                     min_power_illum, min_power_rate, nearest_scan,
+                     sed_bruteforce)
 import uavvlc.optimizer
 from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (ConstraintCoefficients, InfeasibleError,
@@ -120,28 +122,26 @@ class TestNearestPositionInput:
 
 
 class TestGeographicGrid:
-    """On a row-major grid of sub-areas, the 2x2 centers whose columns and
-    rows bracket a user give the scan of every center, ties to the lowest
-    index included."""
+    """On a row-major grid of over 9 sub-areas a user bisects the column and
+    row centers and compares the 2x2 that bracket it; the answer is the
+    plain scan of every center, ties to the lowest index included."""
 
     @pytest.fixture(autouse=True)
-    def count_scans(self, monkeypatch):
-        # calls that fall back to scanning every center
-        self.scans = 0
-        scan = uavvlc.optimizer.nearest_position_association
+    def count_bisects(self, monkeypatch):
+        # two bisections per user mark the bracket
+        self.bisects = 0
+        bisect_left = bisect.bisect_left
 
-        def counted(users, positions):
-            self.scans += 1
-            return scan(users, positions)
-        monkeypatch.setattr(uavvlc.optimizer, "nearest_position_association",
-                            counted)
+        def counted(*args, **kwargs):
+            self.bisects += 1
+            return bisect_left(*args, **kwargs)
+        monkeypatch.setattr(bisect, "bisect_left", counted)
 
     def assert_scan(self, users, sub_areas, bracketed=True):
-        centers = [r.center() for r in sub_areas]
-        scans = self.scans
+        bisects = self.bisects
         assoc = geographic_association(users, sub_areas)
-        assert self.scans == scans + (not bracketed)
-        assert assoc == nearest_position_association(users, centers)
+        assert self.bisects == bisects + 2 * len(users) * bracketed
+        assert assoc == nearest_scan(users, [r.center() for r in sub_areas])
 
     @staticmethod
     def probes(rng, sub_areas, area):
@@ -175,10 +175,10 @@ class TestGeographicGrid:
             sub_areas = make_grid(area, *shape)
             users = self.probes(rng, sub_areas, area)
             self.assert_scan(users, sub_areas, len(sub_areas) > 9)
-            # a user 1e9 area widths off, where rounding ties every column,
-            # makes the whole call scan every center
+            # a user 1e9 area widths off, where rounding ties every column
+            # of its row, scans every center; the rest keep the bracket
             self.assert_scan(users + [(area.x1, area.y0 - 1e9 * width)],
-                             sub_areas, bracketed=False)
+                             sub_areas, len(sub_areas) > 9)
 
     def test_uneven_grids_take_the_bracket(self):
         # columns and rows of any widths, from a twentieth of the widest up;
@@ -222,6 +222,33 @@ class TestGeographicGrid:
         grid[4] = Rect(math.nan, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="^UAV position 4 has a non-finite"):
             geographic_association([(1.0, 1.0)], grid)
+
+
+class TestFarCoordinates:
+    """Squared distances past the double range are compared on coordinates
+    scaled by a power of two, so no finite input goes to UAV 0 by overflow."""
+
+    @pytest.mark.parametrize("grid", [(2, 2), (4, 4), (8, 8)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_huge_area_associates_as_the_unit_area(self, seed, grid):
+        huge, unit = (generate_scenario(seed, area_size=size, grid=grid,
+                                        num_users=60)
+                      for size in (2.0 ** 1000, 1.0))
+        assert huge.users == tuple(Point2(2.0 ** 1000 * u.x, 2.0 ** 1000 * u.y)
+                                   for u in unit.users)
+        assert (geographic_association(huge.users, huge.sub_areas)
+                == geographic_association(unit.users, unit.sub_areas))
+        assert (solve_scenario(huge, "sa1").association
+                == solve_scenario(unit, "sa1").association)
+
+    def test_far_users_keep_their_sub_areas(self):
+        scenario = generate_scenario(0, area_size=8e307, num_users=8)
+        assoc = geographic_association(scenario.users, scenario.sub_areas)
+        assert assoc.clusters == [[1], [2, 3, 7], [4, 6], [0, 5]]
+
+    def test_every_square_overflowing(self):
+        assoc = nearest_position_association([(0, 0)], [(-1.7e308, 0), (1e308, 0)])
+        assert assoc.clusters == [[], [0]]
 
 
 class TestLocateUavs:

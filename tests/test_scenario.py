@@ -213,6 +213,20 @@ class TestSharedStart:
                 x = solve_scenario(scenario, scheme).uav_positions[0].x
                 assert math.copysign(1.0, x) == sign
 
+    @pytest.mark.parametrize("height", [3.0, 8.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_optimize_from_a_lattice_is_proposed(self, seed, height):
+        # over 9 sub-areas both routes take the nearest-center bracket
+        scenario = generate_scenario(seed, area_size=50.0, grid=(10, 10),
+                                     num_users=300,
+                                     params=default_params(uav_height=height))
+        users = [(u.x, u.y) for u in scenario.users]
+        centers = [r.center() for r in scenario.sub_areas]
+        proposed = solve_scenario(scenario, "proposed")
+        assert proposed.feasible
+        assert bits(optimize(users, centers, scenario.params,
+                             scenario.reqs)) == bits(proposed)
+
 
 class TestPerUserReport:
     def test_thresholds_met_everywhere(self):
@@ -696,6 +710,22 @@ class TestMonteCarlo:
         for scheme in SCHEMES:
             assert serial.stats[scheme].totals == parallel.stats[scheme].totals
         assert serial.reductions == parallel.reductions
+
+    def test_pool_starts_at_most_one_worker_per_run(self, monkeypatch):
+        import concurrent.futures
+        asked = []
+
+        class Capped(concurrent.futures.ProcessPoolExecutor):
+            # records the request, and forks at most 2 whatever it was
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Capped)
+        config = ScenarioConfig()
+        summary = run_monte_carlo(config, 2, workers=6)
+        assert asked == [2]
+        assert repr(astuple(summary)) == repr(astuple(run_monte_carlo(config, 2)))
 
     def test_reductions_do_not_depend_on_thresholds(self):
         # every scheme's power scales by the same constraint prefactor, so
