@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_type_hints
@@ -123,8 +123,8 @@ _PARSERS.update(
 def apply_config_file(cfg: RunConfig, path: str) -> None:
     """Apply key=value lines; '#' starts a comment, blank lines skipped."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: cannot read {path!r}: {err}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,12 +139,15 @@ def apply_config_file(cfg: RunConfig, path: str) -> None:
         setattr(cfg, key, _PARSERS[key](key, value))
 
 
-# Library messages start with the field name, and errors report it as the
-# config key: these five are spelled differently, and threshold faults are
-# reported as "thresholds" (a sweep point's rate threshold as "cth_sweep").
+# The RunConfig key of each library field spelled differently: _from_config
+# sets every init field not given from the key of this name, or of its own.
 _CONFIG_KEYS = {"detector_area": "detector_area_m2", "noise_std": "noise_std_a",
-                "uav_height": "heights", "num_users": "users",
-                "base_seed": "seed", "illum_threshold": "thresholds"}
+                "num_users": "users", "base_seed": "seed"}
+
+
+def _from_config(cls, cfg: RunConfig, **given):
+    return cls(**given, **{f.name: getattr(cfg, _CONFIG_KEYS.get(f.name, f.name))
+                           for f in fields(cls) if f.init and f.name not in given})
 
 
 def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
@@ -162,28 +165,20 @@ def validate_config(cfg: RunConfig) -> list[ScenarioConfig]:
     lo, hi, step = cfg.cth_sweep
     if not (0.0 <= lo <= hi < math.inf and 0.0 < step < math.inf):
         raise ConfigError("cth_sweep: need finite 0 <= FROM <= TO and STEP > 0")
-    # the key that names a rate threshold's faults
-    source = "cth_sweep" if cfg.mode == "sweep" else "thresholds"
-    rates = (_sweep_values(cfg.cth_sweep) if cfg.mode == "sweep"
-             else [cfg.rate_threshold_bits])
+    sweep = cfg.mode == "sweep"
+    rates = _sweep_values(cfg.cth_sweep) if sweep else [cfg.rate_threshold_bits]
     families = []
     try:
         for height in cfg.heights:
-            params = VlcParams(
-                detector_area=cfg.detector_area_m2,
-                refractive_index=cfg.refractive_index,
-                tx_semi_angle_deg=cfg.tx_semi_angle_deg,
-                fov_semi_angle_deg=cfg.fov_semi_angle_deg,
-                noise_std=cfg.noise_std_a, illum_factor=cfg.illum_factor,
-                uav_height=height)
-            families += [ScenarioConfig(
-                area_size=cfg.area_size, grid=cfg.grid, num_users=cfg.users,
-                base_seed=cfg.seed, params=params,
-                reqs=Requirements(rate, cfg.illum_threshold))
-                for rate in rates]
+            params = _from_config(VlcParams, cfg, uav_height=height)
+            families += [_from_config(ScenarioConfig, cfg, params=params,
+                                      reqs=Requirements(rate, cfg.illum_threshold))
+                         for rate in rates]
     except ValueError as err:
+        # a library message starts with the field name; report its config key
         name, _, rest = str(err).partition(" ")
-        key = {**_CONFIG_KEYS, "rate_threshold": source}.get(name, name)
+        key = {**_CONFIG_KEYS, "uav_height": "heights", "illum_threshold": "thresholds",
+               "rate_threshold": "cth_sweep" if sweep else "thresholds"}.get(name, name)
         raise ConfigError(f"{key}: {rest}") from None
     if cfg.mode in ("single", "fig4") and len(cfg.heights) > 1:
         raise ConfigError(f"heights: {cfg.mode} mode takes one height, "
@@ -258,7 +253,7 @@ def _write_per_user_csv(path: Path, scenario: Scenario,
 
 
 def run_single(cfg: RunConfig, families: list[ScenarioConfig],
-               out_dir: Path) -> int:
+               out_dir: Path, workers: int) -> int:
     scenario = families[0].scenario()
     record = {"config": _config_record(cfg), "seed": cfg.seed, "schemes": {}}
     status = EXIT_OK
@@ -276,13 +271,19 @@ def run_single(cfg: RunConfig, families: list[ScenarioConfig],
     return status
 
 
+def _batches(cfg: RunConfig, families: list[ScenarioConfig], workers: int):
+    # every family's Monte Carlo summary, and the exit status they give
+    summaries = run_monte_carlo_batches(families, cfg.runs, cfg.schemes, workers)
+    infeasible = any(st.infeasible_runs for s in summaries for st in s.stats.values())
+    return summaries, EXIT_INFEASIBLE if infeasible else EXIT_OK
+
+
 def run_montecarlo(cfg: RunConfig, families: list[ScenarioConfig],
-                   out_dir: Path) -> int:
-    status = EXIT_OK
+                   out_dir: Path, workers: int) -> int:
+    summaries, status = _batches(cfg, families, workers)
     rows = []
     payload = {"config": _config_record(cfg), "heights": {}}
-    for summary in run_monte_carlo_batches(families, cfg.runs, cfg.schemes,
-                                           workers_from_env()):
+    for summary in summaries:
         height = summary.config.params.uav_height
         height_record = {"reductions_percent": dict(summary.reductions),
                          "schemes": {}}
@@ -296,8 +297,6 @@ def run_montecarlo(cfg: RunConfig, families: list[ScenarioConfig],
                 "runs": cfg.runs,
                 "infeasible_runs": st.infeasible_runs,
             }
-            if st.infeasible_runs:
-                status = EXIT_INFEASIBLE
         payload["heights"][_fmt(height)] = height_record
         for scheme, pct in summary.reductions.items():
             print(f"height {height} m: proposed saves {pct:.2f}% vs {scheme}")
@@ -322,26 +321,19 @@ def _sweep_values(sweep: tuple[float, float, float]) -> list[float]:
 
 
 def run_sweep(cfg: RunConfig, families: list[ScenarioConfig],
-              out_dir: Path) -> int:
-    status = EXIT_OK
-    rows = []
-    for summary in run_monte_carlo_batches(families, cfg.runs, cfg.schemes,
-                                           workers_from_env()):
-        cth = summary.config.reqs.rate_threshold
-        height = summary.config.params.uav_height
-        for scheme in cfg.schemes:
-            st = summary.stats[scheme]
-            rows.append(["rate_threshold_bits", _fmt(cth), scheme,
-                         _fmt(height), _fmt(st.mean), _fmt(st.std), cfg.runs])
-            if st.infeasible_runs:
-                status = EXIT_INFEASIBLE
+              out_dir: Path, workers: int) -> int:
+    summaries, status = _batches(cfg, families, workers)
+    rows = [["rate_threshold_bits", _fmt(s.config.reqs.rate_threshold), scheme,
+             _fmt(s.config.params.uav_height), _fmt(s.stats[scheme].mean),
+             _fmt(s.stats[scheme].std), cfg.runs]
+            for s in summaries for scheme in cfg.schemes]
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     print(f"sweep: wrote {len(rows)} rows")
     return status
 
 
 def run_fig4(cfg: RunConfig, families: list[ScenarioConfig],
-             out_dir: Path) -> int:
+             out_dir: Path, workers: int) -> int:
     status = EXIT_OK
     for label, family in zip(("case1", "case2"), families):
         scenario = family.scenario()
@@ -421,6 +413,7 @@ _RUNNERS = {"single": run_single, "montecarlo": run_montecarlo,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_arg_parser()
+    # every outside input is read and checked before anything is written
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
@@ -429,12 +422,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         families = ([_case_config(cfg, args.case1, 1.2, 0.1),
                      _case_config(cfg, args.case2, 1.8, 0.6)]
                     if cfg.mode == "fig4" else validate_config(cfg))
+        workers = workers_from_env()
         out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[cfg.mode](cfg, families, out_dir)
+        try:    # the one thing made before a run, and made last
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"out: cannot make {cfg.out!r} a directory: "
+                              f"{err.strerror}") from None
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    return _RUNNERS[cfg.mode](cfg, families, out_dir, workers)
 
 
 if __name__ == "__main__":

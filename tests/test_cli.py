@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavvlc.optimizer
-from uavvlc.cli import (_FIG4_MAIN_KEYS, MAX_SWEEP_POINTS, MC_COLUMNS,
-                        PER_USER_COLUMNS, SWEEP_COLUMNS, ConfigError, RunConfig,
-                        _sweep_values, apply_config_file, main,
-                        validate_config, workers_from_env)
-from uavvlc.scenario import (SCHEMES, generate_scenario, run_monte_carlo,
-                             solve_scenario)
+from uavvlc.channel import VlcParams
+from uavvlc.cli import (_CONFIG_KEYS, _FIG4_MAIN_KEYS, MAX_SWEEP_POINTS,
+                        MC_COLUMNS, PER_USER_COLUMNS, SWEEP_COLUMNS,
+                        ConfigError, RunConfig, _sweep_values,
+                        apply_config_file, main, validate_config,
+                        workers_from_env)
+from uavvlc.scenario import (SCHEMES, ScenarioConfig, generate_scenario,
+                             run_monte_carlo, solve_scenario)
 
 
 def run_cli(*args):
@@ -75,6 +78,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read"):
             apply_config_file(RunConfig(), str(tmp_path / "absent.cfg"))
 
+    # a file that is not UTF-8 is a config error, reported on one line
+    @pytest.mark.parametrize("mode,flag", [("single", "--config"),
+                                           ("fig4", "--case1")])
+    def test_file_not_utf8_exits_one(self, tmp_path, capsys, mode, flag):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, flag, path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: config: cannot read {str(path)!r}: "), err
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 9\nusers = 4\n")
@@ -108,6 +124,25 @@ class TestConfigKeys:
         assert capsys.readouterr().err == (
             f"error: config {path}:1: unknown key {key!r}\n")
         assert not out.exists()
+
+    # a non-default value for every key that sets a library field
+    KEYED = {"detector_area_m2": 2e-4, "refractive_index": 1.4,
+             "tx_semi_angle_deg": 50.0, "fov_semi_angle_deg": 70.0,
+             "noise_std_a": 2e-10, "illum_factor": 2.0, "area_size": 9.0,
+             "grid": (3, 2), "users": 7, "seed": 5}
+
+    def test_every_library_field_is_set_from_a_key(self):
+        # a VlcParams or ScenarioConfig field that no key sets would
+        # silently take the library default in every CLI run
+        assert all(v != getattr(RunConfig(), k) for k, v in self.KEYED.items())
+        family = validate_config(RunConfig(**self.KEYED))[0]
+        for cls, built, given in ((VlcParams, family.params, {"uav_height"}),
+                                  (ScenarioConfig, family, {"params", "reqs"})):
+            for f in fields(cls):
+                if f.init and f.name not in given:
+                    key = _CONFIG_KEYS.get(f.name, f.name)
+                    assert key in self.KEYED, f"{cls.__name__}.{f.name}"
+                    assert getattr(built, f.name) == self.KEYED[key], key
 
     @pytest.mark.parametrize("mode,name", [("single", "single_result.json"),
                                            ("montecarlo", "montecarlo.json")])
@@ -567,6 +602,21 @@ class TestWorkersEnv:
         with pytest.raises(ConfigError, match="UAVVLC_THREADS"):
             workers_from_env()
 
+    # every mode reads the variable with the other inputs, before the
+    # output directory is made
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("mode", ["single", "montecarlo", "sweep", "fig4"])
+    def test_bad_value_exits_before_any_output(self, tmp_path, capsys,
+                                               monkeypatch, mode, value):
+        monkeypatch.setenv("UAVVLC_THREADS", value)
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 4,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: UAVVLC_THREADS: "), err
+        assert not out.exists()
+
 
 class TestSingleMode:
     def test_outputs_and_exit_code(self, tmp_path, capsys):
@@ -948,6 +998,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == f"error: {key}: a fig4 case file cannot set {key}\n"
         assert not list(tmp_path.glob("*out/*"))
+
+    # an out that cannot become a directory is a config error, and the
+    # file in its way is left as it was
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("mode", ["single", "montecarlo"])
+    def test_out_through_a_file_exits_one(self, tmp_path, capsys, mode, out):
+        (tmp_path / "afile").write_text("kept\n")
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 4,
+                       "--out", tmp_path / out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: out: cannot make {str(tmp_path / out)!r}"
+                              " a directory: "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_unknown_flag_exits_one(self, capsys):
         # through _Parser.error, not argparse's exit status 2
