@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -228,13 +229,25 @@ def _config_record(cfg: RunConfig) -> dict:
     return record
 
 
+@contextmanager
+def _out_file(path: Path, newline: Optional[str] = None):
+    # path open for writing; a failed open or write is an error on out
+    try:
+        with path.open("w", newline=newline) as fh:
+            yield fh
+    except OSError as err:
+        raise ConfigError(f"out: cannot write {str(path)!r}: "
+                          f"{err.strerror or err}") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True)
-                    + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    with _out_file(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
-    with path.open("w", newline="") as fh:
+    with _out_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -244,11 +257,11 @@ def _write_per_user_csv(path: Path, scenario: Scenario,
                         solution: DeploymentSolution) -> None:
     users, reqs = scenario.users, scenario.reqs
     reports = per_user_report(solution, users, scenario.params)
+    rate, illum = _fmt(reqs.rate_threshold), _fmt(reqs.illum_threshold)
     # reports come in user index order, one per user
     _write_csv(path, PER_USER_COLUMNS, (
         [rep.user_index, _fmt(u.x), _fmt(u.y), rep.serving_uav,
-         _fmt(rep.achieved_rate), _fmt(rep.achieved_illum),
-         _fmt(reqs.rate_threshold), _fmt(reqs.illum_threshold)]
+         _fmt(rep.achieved_rate), _fmt(rep.achieved_illum), rate, illum]
         for rep, u in zip(reports, users)))
 
 
@@ -411,6 +424,16 @@ _RUNNERS = {"single": run_single, "montecarlo": run_montecarlo,
             "sweep": run_sweep, "fig4": run_fig4}
 
 
+def _output_names(cfg: RunConfig) -> list[str]:
+    # every file the mode may write into out
+    if cfg.mode == "single":
+        return [f"per_user_{s}.csv" for s in cfg.schemes if s != "sa2"] \
+            + ["single_result.json"]
+    return {"montecarlo": ["montecarlo.csv", "montecarlo.json"],
+            "sweep": ["sweep.csv"],
+            "fig4": ["fig4_case1.csv", "fig4_case2.csv"]}[cfg.mode]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_arg_parser()
     # every outside input is read and checked before anything is written
@@ -424,15 +447,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     if cfg.mode == "fig4" else validate_config(cfg))
         workers = workers_from_env()
         out_dir = Path(cfg.out)
+        for name in _output_names(cfg):
+            if (out_dir / name).is_dir():
+                raise ConfigError(f"out: cannot write {str(out_dir / name)!r}: "
+                                  f"it is a directory")
         try:    # the one thing made before a run, and made last
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"out: cannot make {cfg.out!r} a directory: "
                               f"{err.strerror}") from None
+        # a write that fails after this is reported as an error on out too
+        return _RUNNERS[cfg.mode](cfg, families, out_dir, workers)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    return _RUNNERS[cfg.mode](cfg, families, out_dir, workers)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ here by the expected linear-time randomized incremental method.  From 8
 points on it runs on the convex hull vertices only, since no point inside
 the hull fixes the disk; below that it runs on all points, with the same
 result, because the hull costs more than the interior points it saves.
+From 32 points on, the points strictly inside a box between the four
+diagonal extremes are dropped before the hull is found (Akl and Toussaint,
+1978): each of them is strictly inside the hull, so the hull is the same.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ _DET_GUARD = 1e-12
 # costs more than the Welzl loop saves on the interior points; at 7 points
 # the two measured the same.
 _HULL_MIN_POINTS = 8
+
+# The box filter runs from this many points on; a cell of a paper scenario
+# holds at most 16 users, so only larger solves reach it.
+_BOX_MIN_POINTS = 32
 
 
 class Point2(NamedTuple):
@@ -68,9 +75,17 @@ class Disk(NamedTuple):
                 <= _bound(self.radius))
 
 
-def _finite_points(points: Iterable[Sequence[float]], name: str) -> list:
+class _Checked(list):
+    # Float pairs that _finite_points has checked, which it passes on as
+    # they are; only _finite_points and lists of its items build one.
+    __slots__ = ()
+
+
+def _finite_points(points: Iterable[Sequence[float]], name: str) -> _Checked:
     # float pairs; a NaN or infinite coordinate is an error naming its index
-    pts = [(float(p[0]), float(p[1])) for p in points]
+    if type(points) is _Checked:
+        return points
+    pts = _Checked([(float(p[0]), float(p[1])) for p in points])
     for k, (x, y) in enumerate(pts):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"{name} {k} has a non-finite coordinate ({x}, {y})")
@@ -89,6 +104,20 @@ def _shuffle_order(n: int, rng_seed: int) -> tuple[int, ...]:
     order = list(range(n))
     random.Random(rng_seed).shuffle(order)
     return tuple(order)
+
+
+def _outside_box(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    # The points not strictly inside the box between the four diagonal
+    # extremes p1..p4 (least and greatest x + y and x - y, as rounded).  A
+    # point inside it has one of them in each open quadrant around it, so it
+    # lies strictly inside their hull, whichever points they are.
+    s = [x + y for x, y in pts]
+    d = [x - y for x, y in pts]
+    p1, p3 = pts[s.index(min(s))], pts[s.index(max(s))]
+    p2, p4 = pts[d.index(max(d))], pts[d.index(min(d))]
+    x0, x1 = max(p1[0], p4[0]), min(p2[0], p3[0])
+    y0, y1 = max(p1[1], p2[1]), min(p3[1], p4[1])
+    return [p for p in pts if not (x0 < p[0] < x1 and y0 < p[1] < y1)]
 
 
 def _hull_vertices(pts: Sequence[tuple[float, float]]) -> set[tuple[float, float]]:
@@ -130,7 +159,10 @@ def smallest_enclosing_disk(
     the 1e-10 * radius slack (a 1 m cluster 1e8 away): then the disk may
     move by about 5e-9 of its radius, still covering every point.  Below 8
     points the loop runs on all of them, where the hull costs more than the
-    interior points it would save, with the same result.  NaN or infinite
+    interior points it would save, with the same result.  From 32 points
+    on, the points strictly inside the box between the four diagonal
+    extremes are dropped before the hull is found: they lie strictly
+    inside it, so the hull and the disk are the same.  NaN or infinite
     coordinates raise.
     """
     pts = _finite_points(points, "point")
@@ -138,7 +170,8 @@ def smallest_enclosing_disk(
         raise ValueError("smallest_enclosing_disk requires at least one point")
     pts = [pts[k] for k in _shuffle_order(len(pts), rng_seed)]
     if len(pts) >= _HULL_MIN_POINTS:
-        hull = _hull_vertices(pts)
+        hull = _hull_vertices(_outside_box(pts) if len(pts) >= _BOX_MIN_POINTS
+                              else pts)
         pts = [p for p in pts if p in hull]
 
     cx, cy = pts[0]

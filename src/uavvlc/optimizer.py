@@ -38,7 +38,8 @@ from .assignment import (CellAssociation, farthest_user,
                          greedy_min_size_clustering)
 from .channel import (ConstraintCoefficients, InfeasibleError, Requirements,
                       VlcParams, _unit_power, constraint_coefficients)
-from .geometry import Point2, Rect, _finite_points, smallest_enclosing_disk
+from .geometry import (Point2, Rect, _Checked, _finite_points,
+                       smallest_enclosing_disk)
 
 # The descent's round cap and relative-improvement floor, which the paper
 # leaves open; optimize and solve_scenario take others per call.
@@ -139,18 +140,18 @@ def locate_uavs(association: CellAssociation,
     if len(association.clusters) != len(previous_positions):
         raise ValueError("association and previous_positions disagree on UAV count")
     association.labels(len(users))
-    return _locate(association, users,
-                   [Point2(x, y) for x, y in
-                    _finite_points(previous_positions, "UAV position")], {})
+    positions = [Point2(x, y) for x, y in
+                 _finite_points(previous_positions, "UAV position")]
+    return _locate(association, _finite_points(users, "user"), positions, {})
 
 
-def _locate(association: CellAssociation, users: Sequence[Sequence[float]],
+def _locate(association: CellAssociation, users: _Checked,
             positions: Sequence[Point2],
             centers: dict[bytes, Point2]) -> list[Point2]:
-    # locate_uavs on checked positions.  centers maps the clusters last
-    # located over these users to their SED centers: the same points in the
-    # same order give the same disk, so only a new cluster solves one.  It is
-    # left holding this association's clusters, keyed by packed indices: a
+    # locate_uavs on checked users and positions.  centers maps the clusters
+    # last located over these users to their SED centers: the same points in
+    # the same order give the same disk, so only a new cluster solves one.  It
+    # is left holding this association's clusters, keyed by packed indices: a
     # tuple would keep the index ints of a dropped association alive.
     positions = list(positions)
     located = {}
@@ -159,7 +160,8 @@ def _locate(association: CellAssociation, users: Sequence[Sequence[float]],
             key = array("i", cluster).tobytes()
             center = centers.get(key)
             if center is None:
-                center = smallest_enclosing_disk([users[j] for j in cluster]).center
+                center = smallest_enclosing_disk(
+                    _Checked(map(users.__getitem__, cluster))).center
             positions[i] = located[key] = center
     centers.clear()
     centers.update(located)
@@ -243,6 +245,7 @@ def _start(users: Sequence[Sequence[float]], positions: Sequence[Sequence[float]
     # The "init" layout and the "locate" one, with every UAV at its cluster's
     # SED center (from centers, as _locate reads it): from sub-area centers,
     # sa1's and uavoo's at any thresholds.
+    users = _finite_points(users, "user")
     fixed = [Point2(float(p[0]), float(p[1])) for p in positions]
     init = _Layout(fixed, association,
                    _units(fixed, association, users, params))
@@ -264,6 +267,8 @@ def _descend(users: Sequence[Sequence[float]], start: tuple[_Layout, _Layout],
     trace = [("locate", best.units)]
     if math.inf in best.units:
         return best, trace
+    # checked once here, so the greedy passes and disks pass them on as they are
+    users = _finite_points(users, "user")
     if math.inf not in fixed.units:    # fixed initial placement may violate the FOV
         trace.insert(0, ("init", fixed.units))
     best_total = _total(best.units)

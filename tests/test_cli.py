@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -18,7 +20,7 @@ import uavvlc.optimizer
 from uavvlc.channel import VlcParams
 from uavvlc.cli import (_CONFIG_KEYS, _FIG4_MAIN_KEYS, MAX_SWEEP_POINTS,
                         MC_COLUMNS, PER_USER_COLUMNS, SWEEP_COLUMNS,
-                        ConfigError, RunConfig, _sweep_values,
+                        ConfigError, RunConfig, _output_names, _sweep_values,
                         apply_config_file, main, validate_config,
                         workers_from_env)
 from uavvlc.scenario import (SCHEMES, ScenarioConfig, generate_scenario,
@@ -1013,6 +1015,57 @@ class TestMainEntry:
                               " a directory: "), err
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    # an output file that exists as a directory is rejected with the other
+    # inputs, before any run: single mode used to write its three per-user
+    # CSVs, then end in an IsADirectoryError traceback
+    @pytest.mark.parametrize("mode,name", [
+        ("single", "single_result.json"), ("single", "per_user_uavoo.csv"),
+        ("montecarlo", "montecarlo.json"), ("sweep", "sweep.csv"),
+        ("fig4", "fig4_case2.csv")])
+    def test_output_file_that_is_a_directory_exits_one(self, tmp_path, capsys,
+                                                       mode, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 4,
+                       "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: out: cannot write {str(out / name)!r}: "
+                                "it is a directory\n")
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == [name]
+
+    # the names the input phase checks are the files each mode writes
+    @pytest.mark.parametrize("mode", ["single", "montecarlo", "sweep", "fig4"])
+    def test_checked_names_are_the_files_written(self, tmp_path, mode):
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 4,
+                       "--out", out) == 0
+        assert (sorted(p.name for p in out.iterdir())
+                == sorted(_output_names(RunConfig(mode=mode))))
+
+    # a write that fails after the input phase is one error line too
+    @pytest.mark.parametrize("mode,name", [
+        ("single", "per_user_proposed.csv"), ("single", "single_result.json"),
+        ("montecarlo", "montecarlo.csv"), ("sweep", "sweep.csv"),
+        ("fig4", "fig4_case1.csv")])
+    def test_failed_write_exits_one(self, tmp_path, capsys, monkeypatch, mode,
+                                    name):
+        opened = Path.open
+
+        def full_disk(path, mode="r", *args, **kwargs):
+            if path.name == name and "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return opened(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk)
+        out = tmp_path / "out"
+        assert run_cli("--mode", mode, "--runs", 2, "--users", 4,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: out: cannot write {str(out / name)!r}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert not (out / name).exists()
 
     def test_unknown_flag_exits_one(self, capsys):
         # through _Parser.error, not argparse's exit status 2

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from oracles import _sed_two_boundary as sed_two_boundary_reference
 from oracles import _sed_two_boundary_extremes as sed_two_boundary_extremes
 from oracles import hull_reference, sed_bruteforce, sed_unfiltered
-from uavvlc.geometry import (Disk, Point2, Rect, _hull_vertices,
-                             _sed_two_boundary, _shuffle_order,
-                             smallest_enclosing_disk)
+import uavvlc.geometry
+from uavvlc.geometry import (Disk, Point2, Rect, _Checked, _finite_points,
+                             _hull_vertices, _outside_box, _sed_two_boundary,
+                             _shuffle_order, smallest_enclosing_disk)
 
 
 def dist(a, b):
@@ -155,6 +156,50 @@ class TestHullFilter:
             assert _hull_vertices(pts) == hull_reference(pts)
             assert smallest_enclosing_disk(pts, seed) == sed_unfiltered(pts, seed)
 
+    # From 32 points on, the points strictly inside the box between the
+    # diagonal extremes are dropped before the hull: on both sides of that
+    # size and far above it, the hull and the disk are the full set's
+    @pytest.mark.parametrize("n", [31, 32, 33, 300])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("kind", ["uniform", "disk", "grid", "duplicates",
+                                      "signed zeros"])
+    def test_box_keeps_the_hull_and_the_disk(self, monkeypatch, kind, offset, n):
+        rng = random.Random(n)
+        for seed in range(12 if n < 300 else 3):
+            if kind == "disk":
+                pts = [(5.0 + r * math.cos(a), 5.0 + r * math.sin(a))
+                       for r, a in ((4.0 * math.sqrt(rng.random()),
+                                     rng.uniform(0.0, 2.0 * math.pi))
+                                    for _ in range(n))]
+            elif kind == "grid":    # 0.1-spaced: rows, columns and diagonals
+                pts = [(0.1 * rng.randint(0, 12), 0.1 * rng.randint(0, 12))
+                       for _ in range(n)]
+            elif kind == "duplicates":
+                base = random_points(rng, rng.randint(1, 8))
+                pts = [rng.choice(base) for _ in range(n)]
+            elif kind == "signed zeros":
+                pts = [(rng.choice([0.0, -0.0, x]), rng.choice([0.0, -0.0, y]))
+                       for x, y in random_points(rng, n, -1.0, 1.0)]
+            else:
+                pts = random_points(rng, n)
+            pts = [(x + offset, y + offset) for x, y in pts]
+            kept = _outside_box(pts)
+            assert set(kept) <= set(pts)
+            assert _hull_vertices(kept) == _hull_vertices(pts) == hull_reference(pts)
+            disk = smallest_enclosing_disk(pts, seed)
+            with monkeypatch.context() as m:
+                m.setattr(uavvlc.geometry, "_BOX_MIN_POINTS", 10 ** 9)
+                assert smallest_enclosing_disk(pts, seed) == disk
+            assert disk == sed_unfiltered(pts, seed)
+
+    def test_box_drops_the_interior(self):
+        # the extremes of x + y and x - y are the corners, so the box is the
+        # open square: its inside goes and its edges stay
+        corners = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+        edges = [(2.0, 0.0), (4.0, 2.0), (2.0, 4.0), (0.0, 2.0)]
+        inside = [(1.0, 1.0), (2.0, 2.0), (3.9, 0.1), (1e-300, 3.0)]
+        assert _outside_box(corners + inside + edges) == corners + edges
+
     def test_covers_every_point_far_from_the_origin(self):
         # a circumcircle's radius is taken from its rounded center, so the
         # disk covers its own points where that rounding exceeds the slack
@@ -197,6 +242,16 @@ def min_gap(pts):
 
 
 class TestSedProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(pts=awkward_point_sets(),
+           more=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                         min_size=32, max_size=60))
+    def test_box_keeps_the_hull(self, pts, more):
+        """The box drops no hull vertex and leaves the hull the same, also
+        with a cluster up to 1e8 from the rest, duplicates and collinear runs."""
+        pts = pts + more
+        assert _hull_vertices(_outside_box(pts)) == _hull_vertices(pts)
+
     @settings(max_examples=300, deadline=None)
     @given(pts=awkward_point_sets(), seed=st.integers(0, 2**32 - 1))
     def test_covers_and_matches_unfiltered(self, pts, seed):
@@ -292,6 +347,21 @@ class TestNonFinite:
         pts[index][axis] = bad
         with pytest.raises(ValueError, match=f"^point {index} has a non-finite"):
             smallest_enclosing_disk(pts)
+
+
+class TestCheckedPoints:
+    def test_checked_points_pass_unchanged(self):
+        pts = _finite_points([(1, 2), Point2(3.0, -0.0)], "point")
+        assert type(pts) is _Checked
+        assert pts == [(1.0, 2.0), (3.0, -0.0)]
+        assert _finite_points(pts, "point") is pts
+
+    def test_disk_of_checked_points_is_the_same(self):
+        rng = random.Random(3)
+        for n in (5, 40):
+            pts = random_points(rng, n)
+            assert (smallest_enclosing_disk(_finite_points(pts, "point"))
+                    == smallest_enclosing_disk(pts))
 
 
 class TestBruteforceOracle:

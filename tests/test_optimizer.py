@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
@@ -17,7 +18,7 @@ from uavvlc.assignment import CellAssociation, greedy_min_size_clustering
 from uavvlc.channel import (ConstraintCoefficients, InfeasibleError,
                             Requirements, _exponent,
                             constraint_coefficients, min_power_for_radius)
-from uavvlc.geometry import Point2, Rect
+from uavvlc.geometry import Point2, Rect, _Checked, smallest_enclosing_disk
 from uavvlc.optimizer import (_descend, _priced, _start, evaluate_power,
                               geographic_association, locate_uavs,
                               nearest_position_association, optimize)
@@ -286,6 +287,16 @@ class TestLocateUavs:
                            match="^UAV position 1 has a non-finite"):
             locate_uavs(CellAssociation([[0], []]), [(3.0, 4.0)],
                         [(0.0, 0.0), (bad, 0.0)])
+
+
+    def test_non_finite_user_named_by_its_index(self):
+        # each cluster's disk checked its own points, so user 3, second in
+        # its cluster, was named "point 1"
+        users = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (math.nan, 3.0)]
+        with pytest.raises(ValueError,
+                           match=r"^user 3 has a non-finite coordinate \(nan, 3\.0\)$"):
+            locate_uavs(CellAssociation([[0, 1], [2, 3]]), users,
+                        [(0.0, 0.0), (1.0, 1.0)])
 
 
 class TestEvaluatePower:
@@ -685,6 +696,58 @@ class TestSharedDescent:
         assert bits(b) == bits(_priced(*_descend(users, start, PARAMS, 20, 1e-9,
                                                  {}), prefactor))
 
+
+
+def checked_lists(obj):
+    # every _Checked reachable through dataclass fields, lists and tuples
+    if isinstance(obj, _Checked):
+        yield obj
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from checked_lists(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from checked_lists(item)
+
+
+class TestCheckedUsers:
+    """A solve checks its users once and passes them on as a private
+    _Checked list; none reaches a caller, and bad input still raises the
+    messages it did."""
+
+    def test_no_result_holds_a_checked_list(self):
+        # 36 UAVs spread wide, with rounds that improve and clusters of over
+        # 32 users: the bucketed greedy pass and the box before the hull run
+        config = ScenarioConfig(area_size=40.0, grid=(6, 6), num_users=1500)
+        scenario = config.scenario(3)
+        users, centers = scenario.users, [r.center() for r in scenario.sub_areas]
+        results = [solve_scenario(scenario, scheme) for scheme in SCHEMES]
+        proposed = results[0]
+        assert proposed.feasible and len(proposed.iterations) > 2
+        assert max(map(len, proposed.association.clusters)) > 32
+        results += [
+            optimize(users, centers, PARAMS, REQS),
+            locate_uavs(proposed.association, users, proposed.uav_positions),
+            greedy_min_size_clustering(proposed.uav_positions, users, PARAMS),
+            nearest_position_association(users, centers),
+            geographic_association(users, scenario.sub_areas),
+            scenario.users]
+        assert [list(checked_lists(r)) for r in results] == [[]] * len(results)
+
+    @pytest.mark.parametrize("call,name", [
+        (smallest_enclosing_disk, "point"),
+        (lambda users: greedy_min_size_clustering(CENTERS, users, PARAMS), "user"),
+        (lambda users: geographic_association(users, SUB_AREAS), "user"),
+        (lambda users: optimize(users, CENTERS, PARAMS, REQS), "user"),
+        (lambda users: locate_uavs(CellAssociation([list(range(40))]), users,
+                                   [(0.0, 0.0)]), "user")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_user_still_named(self, call, name, bad):
+        users = random_users(2, n=40)
+        users[33] = (1.0, bad)
+        with pytest.raises(ValueError,
+                           match=f"^{name} 33 has a non-finite coordinate"):
+            call(users)
 
 
 class TestDescentSettings:
